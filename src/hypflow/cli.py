@@ -225,8 +225,16 @@ def _cmd_verify(args, stdout) -> int:
     return EXIT_OK if result.failed == 0 else EXIT_NON_HYPERBOLIC
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with this tool's usage-error exit code (1, not argparse's 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypflow",
         description="Classify real matrices by hyperbolicity, quantify the "
                     "robustness of the classification, and simulate e^{tH}.",
@@ -257,8 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="sample e^{tH} x0 to CSV")
     add_matrix(p)
-    p.add_argument("--x0", required=True, help="initial state, comma-separated")
-    p.add_argument("--times", required=True, help="time grid, comma-separated")
+    p.add_argument("--x0", required=True,
+                   help="initial state, comma-separated; a value starting "
+                        "with '-' needs the = form (--x0=-1,2)")
+    p.add_argument("--times", required=True,
+                   help="time grid, comma-separated; a value starting with "
+                        "'-' needs the = form (--times=-1,0,1)")
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
     p = sub.add_parser("portrait", help="2-D phase portrait as SVG")

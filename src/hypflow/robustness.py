@@ -38,9 +38,11 @@ class MarginResult:
     """Bracket on the distance to the nearest non-hyperbolic matrix.
 
     ``upper`` is rigorous (a concrete frequency omega_star achieves it);
-    ``lower = max(0, upper - tol)`` is heuristic in that a coarse scan could
-    in principle miss a narrow global minimum. ``iterations`` counts
-    sigma_min evaluations. Non-hyperbolic input yields all zeros.
+    ``lower = max(0, upper - tol)`` (tol widened to the final bracket width
+    where float spacing stopped the refinement first) is heuristic in that a
+    coarse scan could in principle miss a narrow global minimum.
+    ``iterations`` counts sigma_min evaluations. Non-hyperbolic input yields
+    all zeros.
     """
 
     lower: float
@@ -106,7 +108,13 @@ def hyperbolize(a, tau: float | None = None, eps_cap: float = 1.0) -> Hyperboliz
 
 
 def _golden_refine(m: np.ndarray, brackets, tol: float, best_val, best_omega):
-    """Golden-section refinement of scan brackets, batched across brackets."""
+    """Golden-section refinement of scan brackets, batched across brackets.
+
+    A bracket stops at width tol, or earlier once its golden points no
+    longer fall strictly inside it (adjacent floats near a large omega can
+    be further apart than tol). Returns the best value and frequency, the
+    evaluation count and the widest final bracket.
+    """
     eye = np.eye(m.shape[0])
     evals = 0
     state = []
@@ -127,7 +135,8 @@ def _golden_refine(m: np.ndarray, brackets, tol: float, best_val, best_omega):
             if v < best_val:
                 best_val, best_omega = v, w
     while True:
-        active = [s for s in state if s[1] - s[0] > tol]
+        active = [s for s in state
+                  if s[1] - s[0] > tol and s[0] < s[2] < s[3] < s[1]]
         if not active:
             break
         pts = []
@@ -156,7 +165,7 @@ def _golden_refine(m: np.ndarray, brackets, tol: float, best_val, best_omega):
                 s[5] = v
             if v < best_val:
                 best_val, best_omega = v, w
-    return best_val, best_omega, evals
+    return best_val, best_omega, evals, max(s[1] - s[0] for s in state)
 
 
 def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
@@ -165,8 +174,9 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
     Scans g(omega) = sigma_min(A - i*omega*I) at 4d+17 equispaced frequencies
     in [0, ||A||] (g is even in omega for real A, and the minimizing frequency
     cannot exceed the norm scale), then golden-sections every local-minimum
-    bracket down to width tol. Since g is 1-Lipschitz the final bracket width
-    bounds the value error, giving lower = max(0, upper - tol).
+    bracket down to width tol, or as far as the floats near omega allow. Since
+    g is 1-Lipschitz the final bracket width bounds the value error, giving
+    lower = max(0, upper - max(tol, widest final bracket)).
 
     Non-hyperbolic (or indeterminate) input returns the all-zero result.
     """
@@ -197,11 +207,13 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
             hi = float(omegas[min(i + 1, n_scan - 1)])
             if hi - lo > tol:
                 brackets.append((lo, hi))
+    width = tol
     if brackets:
-        best_val, best_omega, extra = _golden_refine(m, brackets, tol,
-                                                     best_val, best_omega)
+        best_val, best_omega, extra, widest = _golden_refine(
+            m, brackets, tol, best_val, best_omega)
         evals += extra
-    return MarginResult(lower=max(0.0, best_val - tol), upper=best_val,
+        width = max(tol, widest)
+    return MarginResult(lower=max(0.0, best_val - width), upper=best_val,
                         omega_star=best_omega, iterations=evals)
 
 

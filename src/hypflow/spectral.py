@@ -4,8 +4,10 @@ The production route computes all eigenvalues of a real matrix by balancing,
 Householder reduction to Hessenberg form, and shifted QR iteration with
 deflation. The verification route goes through the characteristic polynomial
 (Faddeev-LeVerrier recurrence) and a simultaneous Aberth-Ehrlich root finder,
-so each path can serve as the other's oracle. A cyclic Jacobi solver for
-Hermitian matrices provides singular values (sigma_min, operator norms).
+so each path can serve as the other's oracle. Hermitian eigenproblems and
+smallest singular values are LAPACK calls through ``numpy.linalg``; sigma_min
+is taken from an SVD of the matrix itself, never from its Gram matrix M^H M,
+which would square the condition number.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densemat import _as_real_or_complex, _singular_values, as_matrix
 from .errors import DimensionMismatch, NonConvergence, NotHermitian, ConjugacyViolation
 
 _EPS = float(np.finfo(float).eps)
@@ -51,15 +54,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-def _as_square_array(a, dtype) -> np.ndarray:
-    m = np.array(a, dtype=dtype)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float) if dtype is complex else m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def _balance(a: np.ndarray) -> np.ndarray:
@@ -212,9 +206,7 @@ def eigenvalues(a) -> Spectrum:
     deflation step exceeds 100*d iterations (pathological input; callers may
     fall back to ``poly_roots(char_poly(a))``).
     """
-    m = np.asarray(a)
-    dtype = complex if np.iscomplexobj(m) else float
-    m = _as_square_array(m, dtype)
+    m = _as_real_or_complex(a)
     n = m.shape[0]
     if n == 1:
         val = complex(m[0, 0])
@@ -229,7 +221,7 @@ def eigenvalues(a) -> Spectrum:
 
 def char_poly(a) -> CharPoly:
     """Characteristic polynomial det(A - zI) by the Faddeev-LeVerrier recurrence."""
-    m = _as_square_array(a, float)
+    m = as_matrix(a)
     n = m.shape[0]
     q = np.zeros(n + 1)
     q[n] = 1.0
@@ -378,159 +370,37 @@ def poly_from_roots(roots) -> CharPoly:
     return CharPoly(coeffs=sign * poly)
 
 
-def _jacobi_hermitian(m: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps (p, q) pairs with unitary 2x2 rotations until the off-diagonal
-    Frobenius mass drops below 1e-14 times the Frobenius norm of the input.
-    """
-    a = m.astype(complex, copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    fro = float(np.linalg.norm(a))
-    if n == 1 or fro == 0.0:
-        return np.real(np.diag(a)).copy(), v
-    threshold = 1e-14 * fro
-    skip = threshold / (2.0 * n * n)
-    offdiag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(60):
-        off = float(np.linalg.norm(a[offdiag_mask]))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absb = abs(apq)
-                if absb <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / absb
-                tau = (aqq - app) / (2.0 * absb)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary update U = diag(1, conj(phase)) @ [[c, s], [-s, c]]
-                u00, u01 = c, s
-                u10, u11 = -phase.conjugate() * s, phase.conjugate() * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = u00 * col_p + u10 * col_q
-                a[:, q] = u01 * col_p + u11 * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = u00.conjugate() * row_p + u10.conjugate() * row_q
-                a[q, :] = u01.conjugate() * row_p + u11.conjugate() * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    vc_p = v[:, p].copy()
-                    vc_q = v[:, q].copy()
-                    v[:, p] = u00 * vc_p + u10 * vc_q
-                    v[:, q] = u01 * vc_p + u11 * vc_q
-    else:
-        raise NonConvergence("Jacobi sweeps did not reach the off-diagonal target")
-    return np.real(np.diag(a)).copy(), v
+def _hermitian(m) -> np.ndarray:
+    """Validated Hermitian matrix, symmetrized; NotHermitian beyond 1e-12."""
+    a = _as_real_or_complex(m)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
+        raise NotHermitian("matrix is not Hermitian within 1e-12")
+    return 0.5 * (a + a.conj().T)
 
 
 def hermitian_eigs(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi."""
-    a = _as_square_array(np.asarray(m), complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
-        raise NotHermitian("matrix is not Hermitian within 1e-12")
-    a = 0.5 * (a + a.conj().T)
-    vals, _ = _jacobi_hermitian(a, want_vectors=False)
-    return np.sort(vals)
+    """All eigenvalues of a Hermitian matrix, ascending (LAPACK eigvalsh)."""
+    return np.linalg.eigvalsh(_hermitian(m))
 
 
 def hermitian_eig_vectors(m):
-    """Ascending eigenvalues and orthonormal eigenvector columns (Jacobi)."""
-    a = _as_square_array(np.asarray(m), complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
-        raise NotHermitian("matrix is not Hermitian within 1e-12")
-    a = 0.5 * (a + a.conj().T)
-    vals, vecs = _jacobi_hermitian(a, want_vectors=True)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    """Ascending eigenvalues and orthonormal eigenvector columns (LAPACK eigh)."""
+    return np.linalg.eigh(_hermitian(m))
 
 
 def sigma_min(m) -> float:
-    """Smallest singular value: sqrt of the smallest eigenvalue of M^H M."""
-    a = _as_square_array(np.asarray(m), complex)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    gram = b.conj().T @ b
-    gram = 0.5 * (gram + gram.conj().T)
-    vals, _ = _jacobi_hermitian(gram, want_vectors=False)
-    return scale * math.sqrt(max(float(np.min(vals)), 0.0))
+    """Smallest singular value, by SVD of M itself (no Gram matrix)."""
+    return float(sigma_min_many(as_matrix(m, complex)[None])[0])
 
 
 def sigma_min_many(mats) -> np.ndarray:
-    """sigma_min for a stack of matrices (B, d, d), Jacobi sweeps in lockstep.
+    """sigma_min for a stack of matrices (B, d, d), by one batched LAPACK SVD.
 
-    Same cyclic Jacobi as the scalar path, vectorized over the batch axis so
-    frequency scans pay the numpy call overhead once instead of per matrix.
+    The SVD works on each M directly, so a singular value near eps*||M||
+    keeps its accuracy instead of being squared away as in M^H M.
     """
-    ms = np.asarray(mats, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+    ms = np.asarray(mats)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
         raise DimensionMismatch(f"expected a (B, d, d) stack, got {ms.shape}")
-    nb, n, _ = ms.shape
-    scale = np.max(np.abs(ms), axis=(1, 2))
-    safe = np.where(scale == 0.0, 1.0, scale)
-    b = ms / safe[:, None, None]
-    g = np.matmul(np.conj(np.transpose(b, (0, 2, 1))), b)
-    g = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-    fro = np.linalg.norm(g.reshape(nb, -1), axis=1)
-    threshold = 1e-14 * fro
-    skip = threshold / (2.0 * n * n)
-    offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(60):
-        off = np.linalg.norm(g[:, offdiag], axis=1)
-        active = off > threshold
-        if not bool(np.any(active)):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = g[:, p, q]
-                absb = np.abs(apq)
-                rot = active & (absb > skip)
-                if not bool(np.any(rot)):
-                    continue
-                absb_safe = np.where(rot, absb, 1.0)
-                phase = np.where(rot, apq / absb_safe, 1.0)
-                tau = (g[:, q, q].real - g[:, p, p].real) / (2.0 * absb_safe)
-                root = np.sqrt(1.0 + tau * tau)
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + root)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c = np.where(rot, c, 1.0)
-                s = np.where(rot, s, 0.0)
-                u00 = c.astype(complex)
-                u01 = s.astype(complex)
-                u10 = -np.conj(phase) * s
-                u11 = np.conj(phase) * c
-                col_p = g[:, :, p].copy()
-                col_q = g[:, :, q].copy()
-                g[:, :, p] = u00[:, None] * col_p + u10[:, None] * col_q
-                g[:, :, q] = u01[:, None] * col_p + u11[:, None] * col_q
-                row_p = g[:, p, :].copy()
-                row_q = g[:, q, :].copy()
-                g[:, p, :] = np.conj(u00)[:, None] * row_p + np.conj(u10)[:, None] * row_q
-                g[:, q, :] = np.conj(u01)[:, None] * row_p + np.conj(u11)[:, None] * row_q
-                g[:, p, q] = np.where(rot, 0.0, g[:, p, q])
-                g[:, q, p] = np.where(rot, 0.0, g[:, q, p])
-                g[:, p, p] = g[:, p, p].real
-                g[:, q, q] = g[:, q, q].real
-    else:
-        raise NonConvergence("batched Jacobi did not reach the off-diagonal target")
-    smallest = np.min(np.real(np.diagonal(g, axis1=1, axis2=2)), axis=1)
-    return scale * np.sqrt(np.maximum(smallest, 0.0))
+    return _singular_values(ms)[:, -1]

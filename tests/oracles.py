@@ -34,7 +34,7 @@ def byers_distance(a, tol: float = 1e-8) -> float:
     d = a.shape[0]
     eye = np.eye(d)
     lo = 0.0
-    hi = spectral.sigma_min(a)
+    hi = svd_sigma_min(a)
     if hi == 0.0:
         return 0.0
     scale = 1.0 + float(np.linalg.norm(a)) + hi

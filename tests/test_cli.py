@@ -150,6 +150,28 @@ class TestPerturb:
         assert code == 2
 
 
+class TestUsage:
+    def test_unknown_option_exit_1(self, capsys, saddle):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", saddle, "--bogus"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", "--help"])
+        assert exc.value.code == 0
+        assert "--x0=-1,2" in capsys.readouterr().out
+
+    def test_negative_x0_needs_equals_form(self, capsys, saddle):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", saddle, "--x0", "-1,2", "--times", "0"])
+        assert exc.value.code == 1
+        code, out, _ = run(capsys, "flow", saddle, "--x0=-1,2", "--times", "0")
+        assert code == 0
+        assert out.splitlines() == ["t,x1,x2", "0,-1,2"]
+
+
 class TestFlow:
     def test_single_time_zero(self, capsys, saddle):
         code, out, _ = run(capsys, "flow", saddle, "--x0", "3,4", "--times", "0")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -95,6 +99,29 @@ class TestMargin:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             robustness.margin(np.diag([-1.0, 2.0]), tol=0.0)
+
+    @pytest.mark.parametrize("k", [1e3, 1e4])
+    def test_upper_bounds_the_distance_for_a_strong_shear(self, k):
+        # the distance is about 0.125/K^2, near eps*||J||^2: a sigma_min
+        # taken through J^H J rounds it down below the distance or to 0
+        j = np.array([[-0.5, k, 0.0], [0.0, -0.5, k], [0.0, 0.0, -0.5]])
+        m = robustness.margin(j)
+        ref = svd_sigma_min(j - 1j * m.omega_star * np.eye(3))
+        assert m.upper == pytest.approx(ref, rel=1e-8)
+        assert m.upper >= 0.99 * 0.125 / k ** 2
+
+    def test_terminates_at_large_frequencies(self):
+        # near omega = 3e11 adjacent floats are farther apart than tol, so a
+        # bracket can never reach width tol; run apart to survive a hang
+        code = ("from hypflow import margin; "
+                "r = margin([[-1e4, 3e11], [-3e11, -1e4]]); "
+                "print(r.lower, r.upper)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lower, upper = map(float, proc.stdout.split())
+        assert 0.0 < lower < upper == pytest.approx(1e4, rel=1e-6)
 
 
 class TestPerturbCampaign:

@@ -203,6 +203,14 @@ class TestSigmaMin:
             ref = float(np.linalg.svd(m, compute_uv=False)[-1])
             assert spectral.sigma_min(m) == pytest.approx(ref, abs=1e-10)
 
+    def test_tiny_singular_value_keeps_relative_accuracy(self):
+        # sigma = 1e-10 squares to 1e-20 in M^H M, below eps of its norm
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[c, -s], [s, c]])
+        m = q @ np.diag([1.0, 1e-10]) @ q.T
+        assert spectral.sigma_min(m) == pytest.approx(1e-10, rel=1e-6)
+        assert spectral.sigma_min_many(m[None]) == pytest.approx([1e-10], rel=1e-6)
+
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
         batch = spectral.sigma_min_many(mats)
