@@ -21,6 +21,8 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 
+_EPS = float(np.finfo(float).eps)
+
 SVG_SIZE = 600
 SVG_PAD = 30.0
 TRAJECTORY_COLOR = "#1f77b4"
@@ -85,8 +87,10 @@ def flow_map(h, t: float, x0) -> np.ndarray:
 def trajectory(h, x0, t_grid) -> Trajectory:
     """Sample the flow on a strictly ascending time grid.
 
-    One step matrix e^{dt H} is computed per distinct step size and reused,
-    so uniform grids cost a single exponential plus matrix-vector products.
+    The last step matrix e^{dt H} is reused while the step stays within
+    4*eps*max|t| of the step it was computed for, the rounding that the
+    differences of a uniform grid carry; so a uniform grid costs a single
+    exponential plus matrix-vector products.
     """
     m = densemat.as_matrix(h)
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -102,13 +106,12 @@ def trajectory(h, x0, t_grid) -> Trajectory:
     states = np.empty((times.size, m.shape[0]))
     current = x if times[0] == 0.0 else expm(times[0] * m) @ x
     states[0] = current
-    step_cache: dict[float, np.ndarray] = {}
+    reuse_tol = 4.0 * _EPS * float(np.max(np.abs(times)))
+    step, step_dt = None, 0.0
     for k in range(1, times.size):
         dt = float(times[k] - times[k - 1])
-        step = step_cache.get(dt)
-        if step is None:
-            step = expm(dt * m)
-            step_cache[dt] = step
+        if step is None or abs(dt - step_dt) > reuse_tol:
+            step, step_dt = expm(dt * m), dt
         current = step @ current
         states[k] = current
     return Trajectory(times=times, states=states, origin=x)

@@ -456,16 +456,16 @@ def vieta_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
 
 
 def oracle_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
-    """QR eigenvalues and char-poly roots must agree to 1e-6 under matching."""
+    """LAPACK eigenvalues and char-poly roots must agree to 1e-6 under matching."""
     rng = np.random.Generator(np.random.PCG64(seed))
     failed = 0
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(2, 9))
         a = rng.standard_normal((d, d))
-        qr_route = spectral.eigenvalues(a).values
+        lapack_route = spectral.eigenvalues(a).values
         poly_route = spectral.poly_roots(spectral.char_poly(a)).values
-        dist = matching.matched_distance(qr_route, poly_route)
+        dist = matching.matched_distance(lapack_route, poly_route)
         worst = max(worst, dist)
         if dist > 1e-6:
             failed += 1

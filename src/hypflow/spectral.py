@@ -1,19 +1,17 @@
 """Eigenvalue machinery with two independent routes.
 
-The production route computes all eigenvalues of a real matrix by balancing,
-Householder reduction to Hessenberg form, and shifted QR iteration with
-deflation. The verification route goes through the characteristic polynomial
-(Faddeev-LeVerrier recurrence) and a simultaneous Aberth-Ehrlich root finder,
-so each path can serve as the other's oracle. Hermitian eigenproblems and
-smallest singular values are LAPACK calls through ``numpy.linalg``; sigma_min
-is taken from an SVD of the matrix itself, never from its Gram matrix M^H M,
-which would square the condition number.
+The production route computes all eigenvalues of a matrix with LAPACK
+``geev`` through ``numpy.linalg``. The verification route goes through the
+characteristic polynomial (Faddeev-LeVerrier recurrence) and a simultaneous
+Aberth-Ehrlich root finder, so each path can serve as the other's oracle.
+Hermitian eigenproblems and smallest singular values are LAPACK calls through
+``numpy.linalg`` as well; sigma_min is taken from an SVD of the matrix
+itself, never from its Gram matrix M^H M, which would square the condition
+number.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,167 +54,22 @@ class CharPoly:
         return len(self.coeffs) - 1
 
 
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling (radix 2) to even out row/column norms."""
-    b = a.copy()
-    n = b.shape[0]
-    while True:
-        changed = False
-        for i in range(n):
-            c = float(np.sum(np.abs(b[:, i]))) - abs(b[i, i])
-            r = float(np.sum(np.abs(b[i, :]))) - abs(b[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            c0, r0 = c, r
-            f = 1.0
-            while c < r / 2.0:
-                c *= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                f /= 2.0
-            if c + r < 0.95 * (c0 + r0):
-                changed = True
-                b[:, i] *= f
-                b[i, :] /= f
-        if not changed:
-            return b
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by complex Householder reflections."""
-    h = a.astype(complex, copy=True)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        alpha = -norm_x if x[0] == 0 else -(x[0] / abs(x[0])) * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        h[k + 1, k] = alpha
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig2x2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]], larger-modulus first (deterministic)."""
-    t = 0.5 * (a + d)
-    disc = cmath.sqrt(t * t - (a * d - b * c))
-    return t + disc, t - disc
-
-
-def _wilkinson_shift(a, b, c, d):
-    """Eigenvalue of the trailing 2x2 block closest to its bottom entry."""
-    lam1, lam2 = _eig2x2(a, b, c, d)
-    return lam1 if abs(lam1 - d) < abs(lam2 - d) else lam2
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, sigma: complex) -> None:
-    """One explicit shifted QR step on the Hessenberg window [lo, hi]."""
-    for i in range(lo, hi + 1):
-        h[i, i] -= sigma
-    rots = []
-    for k in range(lo, hi):
-        x = h[k, k]
-        y = h[k + 1, k]
-        r = math.hypot(abs(x), abs(y))
-        if r == 0.0:
-            rots.append((1.0 + 0.0j, 0.0 + 0.0j))
-            continue
-        ca = x / r
-        cb = y / r
-        rots.append((ca, cb))
-        row_k = h[k, k:hi + 1].copy()
-        row_k1 = h[k + 1, k:hi + 1]
-        h[k, k:hi + 1] = ca.conjugate() * row_k + cb.conjugate() * row_k1
-        h[k + 1, k:hi + 1] = -cb * row_k + ca * row_k1
-    for k in range(lo, hi):
-        ca, cb = rots[k - lo]
-        top = min(k + 2, hi)
-        col_k = h[lo:top + 1, k].copy()
-        col_k1 = h[lo:top + 1, k + 1]
-        h[lo:top + 1, k] = ca * col_k + cb * col_k1
-        h[lo:top + 1, k + 1] = -cb.conjugate() * col_k + ca.conjugate() * col_k1
-    for i in range(lo, hi + 1):
-        h[i, i] += sigma
-
-
-def _qr_eigvals(h: np.ndarray, anorm: float, iter_cap: int):
-    """Shifted QR with deflation on a Hessenberg matrix; returns eigenvalues
-    and the largest subdiagonal magnitude discarded at a deflation."""
-    n = h.shape[0]
-    eigs = np.zeros(n, dtype=complex)
-    defl_max = 0.0
-    hi = n - 1
-    iters = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs[0] = h[0, 0]
-            break
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            scale = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if scale == 0.0:
-                scale = anorm
-            if sub <= _EPS * scale:
-                defl_max = max(defl_max, sub)
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs[hi] = h[hi, hi]
-            hi -= 1
-            iters = 0
-            continue
-        if hi - lo == 1:
-            lam1, lam2 = _eig2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs[hi] = lam1
-            eigs[lo] = lam2
-            hi -= 2
-            iters = 0
-            continue
-        iters += 1
-        if iters > iter_cap:
-            raise NonConvergence(
-                f"QR iteration exceeded {iter_cap} steps while deflating index {hi}"
-            )
-        if iters % 12 == 0:
-            sigma = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            sigma = _wilkinson_shift(h[hi - 1, hi - 1], h[hi - 1, hi],
-                                     h[hi, hi - 1], h[hi, hi])
-        _qr_sweep(h, lo, hi, sigma)
-    return eigs, defl_max
-
-
 def eigenvalues(a) -> Spectrum:
     """All eigenvalues of a square matrix, counting algebraic multiplicity.
 
-    Balancing, Hessenberg reduction, and Wilkinson-shifted QR iteration with
-    deflation, carried out in complex arithmetic. Raises NonConvergence if a
-    deflation step exceeds 100*d iterations (pathological input; callers may
-    fall back to ``poly_roots(char_poly(a))``).
+    LAPACK ``geev`` through ``numpy.linalg.eigvals``: balancing, Hessenberg
+    reduction and shifted QR, with scaling against overflow. The residual
+    bound is the backward-error estimate 10*d*eps*||A||_1; the 1-norm stays
+    finite for every finite input, where the Frobenius norm can overflow.
+    Raises NonConvergence if LAPACK reports that its QR iteration failed.
     """
     m = _as_real_or_complex(a)
-    n = m.shape[0]
-    if n == 1:
-        val = complex(m[0, 0])
-        return Spectrum(values=np.array([val]), residual_bound=_EPS * (1.0 + abs(val)))
-    b = _balance(m.astype(complex))
-    h = _hessenberg(b)
-    anorm = float(np.linalg.norm(b))
-    eigs, defl_max = _qr_eigvals(h, anorm, iter_cap=100 * n)
-    residual = defl_max + 10.0 * n * _EPS * anorm
-    return Spectrum(values=eigs, residual_bound=residual)
+    try:
+        values = np.linalg.eigvals(m).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigenvalue iteration failed: {exc}") from exc
+    residual = 10.0 * m.shape[0] * _EPS * float(np.linalg.norm(m, 1))
+    return Spectrum(values=values, residual_bound=residual)
 
 
 def char_poly(a) -> CharPoly:

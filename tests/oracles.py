@@ -1,16 +1,16 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the production code paths they are checking:
-singular values come from numpy's SVD, eigenvalue brackets from a bisection
-on a doubled Hamiltonian-structured matrix, and small closed forms are spelled
-out directly.
+These deliberately avoid the production code paths they are checking and
+import nothing from hypflow: singular values come from numpy's SVD, eigenvalue
+brackets from a bisection on a doubled Hamiltonian-structured matrix whose
+eigenvalues come from numpy, and small closed forms are spelled out directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hypflow import spectral
+_EPS = float(np.finfo(float).eps)
 
 
 def svd_sigma_min(m) -> float:
@@ -43,9 +43,10 @@ def byers_distance(a, tol: float = 1e-8) -> float:
         if mid == lo or mid == hi:
             break
         ham = np.block([[a, -mid * eye], [mid * eye, -a.T]])
-        spec = spectral.eigenvalues(ham)
-        threshold = max(10.0 * spec.residual_bound, 1e-12 * scale)
-        if float(np.min(np.abs(np.real(spec.values)))) <= threshold:
+        # ten times the backward-error bound 10*(2d)*eps*||ham||_1
+        bound = 10.0 * 2 * d * _EPS * float(np.linalg.norm(ham, 1))
+        threshold = max(10.0 * bound, 1e-12 * scale)
+        if float(np.min(np.abs(np.real(np.linalg.eigvals(ham))))) <= threshold:
             hi = mid
         else:
             lo = mid

@@ -67,7 +67,7 @@ def test_criterion_2_density():
 def test_criterion_3_eigenvalue_oracle_equivalence():
     result = robustness.oracle_suite(seed=1, trials=1000)
     ok = result.failed == 0 and result.worst <= 1e-6
-    report(3, "QR route vs char-poly+Aberth route within 1e-6", ok,
+    report(3, "LAPACK route vs char-poly+Aberth route within 1e-6", ok,
            f"{result.passed}/{result.total}, worst {result.worst:.2e}")
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hypflow import cli
+from hypflow import cli, inertia
 
 
 def write_fixture(tmp_path, name, matrix):
@@ -77,6 +77,16 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", path, "--tol", "0.1")
         assert code == 3
         assert json.loads(out)["verdict"] == "indeterminate"
+
+    def test_huge_finite_input_exit_0(self, capsys, tmp_path):
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        path = write_fixture(tmp_path, "huge.json", 1e300 * a)
+        code, out, err = run(capsys, "classify", path)
+        assert code == 0, err
+        report = json.loads(out)
+        base = inertia.classify(a)
+        assert report["verdict"] == "hyperbolic"
+        assert (report["s"], report["u"]) == (base.inertia.s, base.inertia.u)
 
     def test_malformed_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

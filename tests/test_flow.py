@@ -134,6 +134,15 @@ class TestTrajectory:
         norms = np.linalg.norm(tr.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
+    def test_uniform_grid_single_exponential(self, monkeypatch):
+        # linspace steps differ in their last bits; one e^{dt H} must serve all
+        calls = []
+        expm = flow.expm
+        monkeypatch.setattr(flow, "expm", lambda a: calls.append(1) or expm(a))
+        flow.trajectory(np.array([[-1.0, 2.0], [0.0, 0.5]]), [1.0, 1.0],
+                        np.linspace(0.0, 4.0, 401))
+        assert len(calls) == 1
+
     def test_descending_grid_rejected(self):
         with pytest.raises(NonAscendingGrid):
             flow.trajectory(np.eye(2), [1.0, 1.0], [1.0, 0.5])

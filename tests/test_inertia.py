@@ -76,6 +76,13 @@ class TestClassify:
         v = inertia.classify(np.diag([tau + 5e-16, 1.0]), tau)
         assert v.kind == inertia.INDETERMINATE
 
+    def test_huge_finite_input_keeps_verdict(self):
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        base = inertia.classify(a)
+        big = inertia.classify(1e300 * a)
+        assert base.kind == big.kind == inertia.HYPERBOLIC
+        assert (big.inertia.s, big.inertia.u) == (base.inertia.s, base.inertia.u)
+
     def test_similarity_invariance(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 7))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypflow import densemat, matching, spectral
-from hypflow.errors import ConjugacyViolation, NotHermitian
+from hypflow.errors import ConjugacyViolation, NonConvergence, NotHermitian
 
 from oracles import quadratic_roots
 
@@ -60,6 +60,22 @@ class TestEigenvalues:
             prod = complex(np.prod(spectral.eigenvalues(a).values))
             det = densemat.det(a)
             assert abs(prod - det) <= 1e-8 * (1.0 + abs(det))
+
+    def test_huge_finite_input_scales(self):
+        # a 1e300-scaled matrix is finite and must scale its spectrum exactly
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        small = spectral.eigenvalues(a).values
+        big = spectral.eigenvalues(1e300 * a)
+        assert np.isfinite(big.residual_bound)
+        dist = matching.matched_distance(big.values, 1e300 * small)
+        assert dist <= 1e-12 * 1e300 * float(np.max(np.abs(small)))
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NonConvergence):
+            spectral.eigenvalues(np.eye(2))
 
     def test_shift_covariance(self, rng):
         for _ in range(20):
@@ -123,9 +139,9 @@ class TestPolyRoots:
         for _ in range(50):
             d = int(rng.integers(2, 9))
             a = rng.standard_normal((d, d))
-            qr_vals = spectral.eigenvalues(a).values
+            lapack_vals = spectral.eigenvalues(a).values
             poly_vals = spectral.poly_roots(spectral.char_poly(a)).values
-            worst = max(worst, matching.matched_distance(qr_vals, poly_vals))
+            worst = max(worst, matching.matched_distance(lapack_vals, poly_vals))
         assert worst <= 1e-6
 
 
