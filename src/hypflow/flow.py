@@ -25,6 +25,12 @@ _EPS = float(np.finfo(float).eps)
 
 SVG_SIZE = 600
 SVG_PAD = 30.0
+# splitting squares H for a complex cluster, and applies its rank tolerance
+# 1e-10*(1 + ||H||) to unit vectors: a matrix with an entry of at least
+# 2**_SPLIT_EXP is first scaled by an exact power of two to entries below 1,
+# which keeps the subspaces.
+_SPLIT_EXP = 20
+
 TRAJECTORY_COLOR = "#1f77b4"
 STABLE_COLOR = "#2ca02c"
 UNSTABLE_COLOR = "#d62728"
@@ -201,6 +207,9 @@ def splitting(h, tau: float | None = None) -> SplittingBases:
     the kernel of its real factor raised to the cluster multiplicity, and the
     per-side union is orthonormalized by column-pivoted Gram-Schmidt. The
     resulting spans are invariant under H and have dimensions (s, u).
+    A matrix with an entry of 2**20 or more is first scaled by an exact
+    power of two to entries below 1, so that squaring it cannot overflow
+    and its tolerances stay meaningful.
     """
     m = densemat.as_matrix(h)
     if tau is None:
@@ -208,7 +217,12 @@ def splitting(h, tau: float | None = None) -> SplittingBases:
     verdict = classify(m, tau)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"matrix classified as {verdict.kind}")
-    values = [complex(v) for v in verdict.spectrum.values]
+    amax = float(np.max(np.abs(m)))
+    e = math.frexp(amax)[1] if amax >= 2.0 ** _SPLIT_EXP else 0
+    m = np.ldexp(m, -e)
+    tau = math.ldexp(tau, -e)
+    values = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+              for v in verdict.spectrum.values]
     scale = 1.0 + float(np.linalg.norm(m))
     ctol = 1e-6 * scale
     rank_tol = 1e-10 * scale

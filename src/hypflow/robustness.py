@@ -27,10 +27,13 @@ import numpy as np
 
 from . import densemat, matching, spectral
 from .errors import DimensionMismatch, InvalidClass, NotHyperbolic, ShiftTooSmall
-from .inertia import (ConjugacyClass, Inertia, classify, default_tolerance,
-                      inertia_of)
+from .inertia import ConjugacyClass, Inertia, classify, default_tolerance
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Samples per stacked LAPACK call in perturb_campaign; bounds its memory at
+# any sample count.
+_CAMPAIGN_BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -81,19 +84,24 @@ class ContinuityReport:
     monotone_tail: bool
 
 
-def hyperbolize(a, tau: float | None = None, eps_cap: float = 1.0) -> HyperbolizeResult:
+def hyperbolize(a, tau: float | None = None,
+                eps_cap: float | None = None) -> HyperbolizeResult:
     """Shift A by eps*I so the result is hyperbolic.
 
     eps = min(eps_cap, delta/2) where delta is the smallest |Re lambda| among
     eigenvalues already off the axis (infinite if there are none, in which
-    case any positive eps works and eps_cap is used). Raises ShiftTooSmall if
-    the computed eps does not clear the tolerance band.
+    case any positive eps works and eps_cap is used). eps_cap defaults to
+    max(1, 10*tau), so that it clears the relative tolerance band of a large
+    matrix. Raises ShiftTooSmall if the computed eps does not clear the
+    tolerance band.
     """
     m = densemat.as_matrix(a)
-    if eps_cap <= 0:
+    if eps_cap is not None and eps_cap <= 0:
         raise ValueError("eps_cap must be > 0")
     if tau is None:
         tau = default_tolerance(m)
+    if eps_cap is None:
+        eps_cap = max(1.0, 10.0 * tau)
     spec = spectral.eigenvalues(m)
     re = np.abs(np.real(spec.values))
     off_axis = re[re > tau]
@@ -224,7 +232,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     Each sample i draws a Gaussian direction from its own PCG64 stream seeded
     with seed XOR i (so results do not depend on evaluation order), rescaled
     to operator norm radius * fraction with the fraction uniform in (0, 1].
-    Up to ten flipping perturbations are kept as witnesses.
+    Up to ten flipping perturbations are kept as witnesses. Samples are
+    evaluated in blocks of _CAMPAIGN_BLOCK: one stacked SVD gives the
+    directions' norms and one stacked eigenvalue call the perturbed spectra,
+    with the same per-matrix arithmetic as one call per sample.
     """
     m = densemat.as_matrix(h)
     if samples < 1:
@@ -242,19 +253,23 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     d = m.shape[0]
     flips = 0
     witnesses = []
-    for i in range(samples):
-        rng = np.random.Generator(np.random.PCG64(seed ^ i))
-        g = rng.standard_normal((d, d))
-        norm_g = densemat.op_norm2(g)
-        if norm_g == 0.0:
-            continue
-        frac = 1.0 - rng.random()
-        e = g * (radius * frac / norm_g)
-        inr = inertia_of(spectral.eigenvalues(m + e), tau)
-        if (inr.s, inr.u, inr.c) != (base.s, base.u, base.c):
-            flips += 1
-            if len(witnesses) < 10:
-                witnesses.append((i, e))
+    for start in range(0, samples, _CAMPAIGN_BLOCK):
+        block = range(start, min(start + _CAMPAIGN_BLOCK, samples))
+        g = np.empty((len(block), d, d))
+        frac = np.empty(len(block))
+        for j, i in enumerate(block):
+            rng = np.random.Generator(np.random.PCG64(seed ^ i))
+            g[j] = rng.standard_normal((d, d))
+            frac[j] = 1.0 - rng.random()
+        norm_g = densemat._singular_values(g)[:, 0]
+        drawn = np.flatnonzero(norm_g)
+        e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
+        re = spectral.eigenvalues_many(m + e).real
+        flipped = np.flatnonzero(((re < -tau).sum(axis=1) != base.s)
+                                 | ((re > tau).sum(axis=1) != base.u))
+        flips += flipped.size
+        for j in flipped[:10 - len(witnesses)]:
+            witnesses.append((start + int(drawn[j]), e[j].copy()))
     return CampaignReport(base_inertia=base, samples=samples, radius=radius,
                           flips=flips, seed=seed, flip_witnesses=witnesses)
 
@@ -277,15 +292,18 @@ def continuity_check(h, sequence) -> ContinuityReport:
                 f"sequence entry has dimension {x.shape[0]}, expected {m.shape[0]}"
             )
     eig_h = spectral.eigenvalues(m).values
+    stack = np.stack(mats)
     pairings = []
     mismatches = []
-    dists = []
-    for x in mats:
-        eig_n = spectral.eigenvalues(x).values
+    for eig_n in spectral.eigenvalues_many(stack):
         perm, max_d = matching.pair_values(eig_n, eig_h)
         pairings.append(perm)
         mismatches.append(max_d)
-        dists.append(densemat.op_norm2(x - m))
+    diffs = stack - m
+    # the SVD turns an overflowed entry into NaN singular values, silently
+    if not np.all(np.isfinite(diffs)):
+        raise ValueError("matrix entries must be finite")
+    dists = densemat._singular_values(diffs)[:, 0]
     k0 = len(dists) - 1
     while k0 > 0 and dists[k0 - 1] >= dists[k0]:
         k0 -= 1

@@ -57,19 +57,36 @@ class CharPoly:
 def eigenvalues(a) -> Spectrum:
     """All eigenvalues of a square matrix, counting algebraic multiplicity.
 
-    LAPACK ``geev`` through ``numpy.linalg.eigvals``: balancing, Hessenberg
+    LAPACK ``geev`` through ``eigenvalues_many``: balancing, Hessenberg
     reduction and shifted QR, with scaling against overflow. The residual
     bound is the backward-error estimate 10*d*eps*||A||_1; the 1-norm stays
     finite for every finite input, where the Frobenius norm can overflow.
     Raises NonConvergence if LAPACK reports that its QR iteration failed.
     """
     m = _as_real_or_complex(a)
-    try:
-        values = np.linalg.eigvals(m).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"LAPACK eigenvalue iteration failed: {exc}") from exc
+    values = eigenvalues_many(m)
     residual = 10.0 * m.shape[0] * _EPS * float(np.linalg.norm(m, 1))
     return Spectrum(values=values, residual_bound=residual)
+
+
+def eigenvalues_many(mats) -> np.ndarray:
+    """Eigenvalues of a (d, d) matrix, shape (d,), or of each matrix of a
+    (B, d, d) stack, shape (B, d), as complex; one LAPACK ``geev`` call.
+
+    Raises ValueError on a non-finite entry and NonConvergence if LAPACK
+    reports that its QR iteration failed on any matrix of the stack.
+    """
+    ms = np.asarray(mats)
+    if ms.ndim not in (2, 3) or ms.shape[-1] != ms.shape[-2] or ms.shape[-1] == 0:
+        raise DimensionMismatch(
+            f"expected a (d, d) matrix or a (B, d, d) stack, got {ms.shape}")
+    try:
+        return np.linalg.eigvals(ms).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        # numpy refuses non-finite input with the same exception
+        if not np.isfinite(ms).all():
+            raise ValueError("matrix entries must be finite") from None
+        raise NonConvergence(f"LAPACK eigenvalue iteration failed: {exc}") from exc
 
 
 def char_poly(a) -> CharPoly:

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they are checking and
 import nothing from hypflow: singular values come from numpy's SVD, eigenvalue
 brackets from a bisection on a doubled Hamiltonian-structured matrix whose
-eigenvalues come from numpy, and small closed forms are spelled out directly.
+eigenvalues come from numpy, perturbation campaigns are recounted one sample
+at a time, and small closed forms are spelled out directly.
 """
 
 from __future__ import annotations
@@ -51,6 +52,42 @@ def byers_distance(a, tol: float = 1e-8) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def campaign_recount(h, samples: int, radius: float, seed: int, tau: float):
+    """Flips and the first ten (index, perturbation) witnesses of a seeded
+    perturbation campaign, one numpy call per sample.
+
+    Follows the documented recipe: sample i draws a Gaussian direction g and
+    then frac = 1 - random() from PCG64(seed XOR i), skips g of norm 0, and
+    counts a flip when h + g * (radius * frac / ||g||_2) has another (s, u, c)
+    than h. The norm is the largest value of numpy's complex SVD, the
+    routine op_norm2 uses; the real SVD behind np.linalg.norm(g, 2) differs
+    from it in the last bit for about a third of the draws.
+    """
+    h = np.asarray(h, dtype=float)
+    d = h.shape[0]
+
+    def counts(m):
+        re = np.real(np.linalg.eigvals(m))
+        return int(np.sum(re < -tau)), int(np.sum(re > tau))
+
+    base = counts(h)
+    flips = 0
+    witnesses = []
+    for i in range(samples):
+        rng = np.random.Generator(np.random.PCG64(seed ^ i))
+        g = rng.standard_normal((d, d))
+        norm_g = float(np.linalg.svd(g.astype(complex), compute_uv=False)[0])
+        if norm_g == 0.0:
+            continue
+        frac = 1.0 - rng.random()
+        e = g * (radius * frac / norm_g)
+        if counts(h + e) != base:
+            flips += 1
+            if len(witnesses) < 10:
+                witnesses.append((i, e))
+    return flips, witnesses
 
 
 def quadratic_roots(b: float, c: float):

@@ -222,6 +222,17 @@ class TestSplitting:
                 growth = np.linalg.norm(flow.flow_map(h, -t, x_u))
                 assert growth <= cond * np.exp(-0.5 * unstable_gap * t)
 
+    @pytest.mark.parametrize("exponent", [34, 531])
+    def test_huge_finite_input_keeps_its_subspaces(self, exponent):
+        # at 2**531 > 1e155, H @ H would overflow; at 2**34 the rank
+        # tolerance 1e-10*(1 + ||H||) would exceed the unit kernel vectors
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        small = flow.splitting(a)
+        big = flow.splitting(np.ldexp(a, exponent))
+        for x, y in ((small.stable, big.stable), (small.unstable, big.unstable)):
+            assert x.shape == y.shape
+            np.testing.assert_allclose(y @ y.T, x @ x.T, atol=1e-12)
+
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NotHyperbolic):
             flow.splitting(np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from hypflow import densemat, inertia, matching, robustness, spectral
-from hypflow.errors import (DimensionMismatch, InvalidClass, NotHyperbolic,
-                            ShiftTooSmall)
+from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
+                            NotHyperbolic, ShiftTooSmall)
 from hypflow.inertia import ConjugacyClass
 
-from oracles import byers_distance, grid_distance_oracle, svd_sigma_min
+from oracles import (byers_distance, campaign_recount, grid_distance_oracle,
+                     svd_sigma_min)
+
+BLOCK = robustness._CAMPAIGN_BLOCK
 
 
 class TestHyperbolize:
@@ -38,6 +41,15 @@ class TestHyperbolize:
         assert r.epsilon == pytest.approx(0.5)
         inr = inertia.classify(r.shifted).inertia
         assert (inr.s, inr.u) == (1, 1)
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_default_cap_clears_a_large_tolerance(self, scale):
+        # the default tau is 1e-9*(1 + ||A||), at least 1 from ||A|| = 1e9
+        a = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        tau = inertia.default_tolerance(a)
+        r = robustness.hyperbolize(a)
+        assert r.epsilon > tau
+        assert inertia.classify(r.shifted, tau).is_hyperbolic
 
     def test_eps_cap_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -157,6 +169,7 @@ class TestPerturbCampaign:
         b = robustness.perturb_campaign(np.diag([-0.05, 1.0]),
                                         samples=60, radius=0.2, seed=11)
         assert a.flips == b.flips
+        assert len(a.flip_witnesses) == len(b.flip_witnesses)
         for (i1, e1), (i2, e2) in zip(a.flip_witnesses, b.flip_witnesses):
             assert i1 == i2
             np.testing.assert_array_equal(e1, e2)
@@ -170,6 +183,100 @@ class TestPerturbCampaign:
         with pytest.raises(NotHyperbolic):
             robustness.perturb_campaign(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                         samples=5, radius=0.1, seed=1)
+
+
+def witness_bytes(witnesses):
+    return [(int(i), e.tobytes()) for i, e in witnesses]
+
+
+CAMPAIGN_BASES = [
+    (np.diag([-1.0, 2.0]), 0.5),
+    (np.diag([-0.01, 2.0]), 0.1),
+    (robustness.generate(ConjugacyClass(2, 2, 4), 5.0, seed=3), 1.0),
+]
+
+
+class TestStackedCampaign:
+    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                         3 * BLOCK + 7])
+    @pytest.mark.parametrize("base", range(len(CAMPAIGN_BASES)))
+    def test_matches_per_sample_recount(self, base, samples):
+        h, radius = CAMPAIGN_BASES[base]
+        report = robustness.perturb_campaign(h, samples, radius, seed=7)
+        flips, witnesses = campaign_recount(h, samples, radius, 7,
+                                            report.base_inertia.tau)
+        assert report.flips == flips
+        assert witness_bytes(report.flip_witnesses) == witness_bytes(witnesses)
+
+    def test_witness_cap_reached(self):
+        h, radius = CAMPAIGN_BASES[1]
+        report = robustness.perturb_campaign(h, 3 * BLOCK + 7, radius, seed=7)
+        assert report.flips > 10
+        assert len(report.flip_witnesses) == 10
+
+    def test_zero_norm_direction_skipped(self, monkeypatch):
+        h, radius = CAMPAIGN_BASES[1]
+        tau = inertia.default_tolerance(h)
+        flips, witnesses = campaign_recount(h, 60, radius, 7, tau)
+        skip = [i for i, _ in witnesses[:2]]
+        singular_values = densemat._singular_values
+
+        def zero_norms(ms):
+            values = singular_values(ms)
+            if np.ndim(ms) == 3:
+                values[skip] = 0.0
+            return values
+
+        monkeypatch.setattr(densemat, "_singular_values", zero_norms)
+        report = robustness.perturb_campaign(h, 60, radius, seed=7)
+        assert report.flips == flips - 2
+        kept = witness_bytes(witnesses[2:])
+        assert witness_bytes(report.flip_witnesses)[:len(kept)] == kept
+        assert not set(skip) & {i for i, _ in report.flip_witnesses}
+
+    def test_witnesses_are_standalone_arrays(self):
+        h, radius = CAMPAIGN_BASES[1]
+        report = robustness.perturb_campaign(h, BLOCK, radius, seed=7)
+        assert report.flip_witnesses
+        for _, e in report.flip_witnesses:
+            assert e.base is None
+            assert e.shape == h.shape
+
+    def test_overflowing_perturbation_rejected(self):
+        h = np.diag([-1.5e308, 1.5e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            robustness.perturb_campaign(h, 20, 1.5e308, seed=1)
+
+    def test_stacked_lapack_failure_is_nonconvergence(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def fail_on_stacks(a):
+            if np.shape(a)[0] > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_on_stacks)
+        with pytest.raises(NonConvergence):
+            robustness.perturb_campaign(np.diag([-1.0, 2.0]), 5, 0.1, seed=1)
+
+
+def continuity_by_loop(h, seq):
+    """continuity_check's report, one eigenvalue and one norm call per matrix."""
+    eig_h = spectral.eigenvalues(h).values
+    pairings, mismatches, dists = [], [], []
+    for x in seq:
+        perm, max_d = matching.pair_values(spectral.eigenvalues(x).values, eig_h)
+        pairings.append(perm)
+        mismatches.append(max_d)
+        dists.append(densemat.op_norm2(x - h))
+    k0 = len(dists) - 1
+    while k0 > 0 and dists[k0 - 1] >= dists[k0]:
+        k0 -= 1
+    slack = 1e-12 * (1.0 + float(np.linalg.norm(h)))
+    monotone = all(mismatches[k] >= mismatches[k + 1] - slack
+                   for k in range(k0, len(mismatches) - 1))
+    return pairings, mismatches, monotone
 
 
 class TestContinuity:
@@ -204,6 +311,24 @@ class TestContinuity:
         max_mod = max(np.max(np.abs(spectral.eigenvalues(a).values)) for a in seq)
         max_norm = max(densemat.op_norm2(a) for a in seq)
         assert max_mod <= max_norm + 1e-8
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_stacked_matches_per_matrix_loop(self, rng, d):
+        h = rng.standard_normal((d, d))
+        g = rng.standard_normal((d, d))
+        jitter = rng.standard_normal((25, d, d))
+        seq = [h + g / n + jitter[n - 1] / n ** 3 for n in range(1, 26)]
+        report = robustness.continuity_check(h, seq)
+        pairings, mismatches, monotone = continuity_by_loop(h, seq)
+        assert [list(p) for p in report.pairings] == [list(p) for p in pairings]
+        assert report.max_mismatch == mismatches
+        assert report.monotone_tail == monotone
+
+    def test_overflowing_distance_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            robustness.continuity_check(np.diag([1e308, 1.0]),
+                                        [np.diag([-1e308, 1.0])])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypflow import densemat, matching, spectral
-from hypflow.errors import ConjugacyViolation, NonConvergence, NotHermitian
+from hypflow.errors import (ConjugacyViolation, DimensionMismatch,
+                            NonConvergence, NotHermitian)
 
 from oracles import quadratic_roots
 
@@ -76,6 +77,15 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(NonConvergence):
             spectral.eigenvalues(np.eye(2))
+
+    def test_stack_validated(self):
+        with pytest.raises(DimensionMismatch):
+            spectral.eigenvalues_many(np.eye(3)[None, :2])
+        with pytest.raises(DimensionMismatch):
+            spectral.eigenvalues_many(np.zeros((1, 1, 2, 2)))
+        stack = np.stack([np.eye(2), np.diag([np.inf, 1.0])])
+        with pytest.raises(ValueError, match="finite"):
+            spectral.eigenvalues_many(stack)
 
     def test_shift_covariance(self, rng):
         for _ in range(20):
