@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("margin", help="distance to the non-hyperbolic set")
     add_matrix(p)
     p.add_argument("--margin-tol", type=float, default=1e-6,
-                   help="bracket width target (default 1e-6)")
+                   help="relative gap (upper - lower)/upper accepted, "
+                        "clipped to [1e-6, 1/4] (default 1e-6)")
 
     p = sub.add_parser("perturb", help="random perturbation campaign")
     add_matrix(p)

@@ -4,8 +4,14 @@ The classification (s, u) of a hyperbolic matrix survives every sufficiently
 small perturbation. This module makes that statement executable four ways:
 
 * ``margin`` brackets the spectral-norm distance from a matrix to the nearest
-  matrix with an imaginary-axis eigenvalue, using the characterization
-  distance = min over real omega of sigma_min(A - i*omega*I);
+  matrix with an imaginary-axis eigenvalue. The distance is the minimum over
+  real omega of g(omega) = sigma_min(A - i*omega*I), and gamma >= distance
+  exactly when the Hamiltonian [[A, -gamma I], [gamma I, -A^T]] has an
+  eigenvalue i*omega on the imaginary axis, at the omega where gamma is a
+  singular value of A - i*omega*I (Byers 1988). ``margin`` runs the level-set
+  iteration of Boyd-Balakrishnan and Bruinsma-Steinbuch (1990) on that test:
+  it certifies ``lower`` as a level without crossings and ``upper`` as a
+  value of g;
 * ``hyperbolize`` realizes the density construction A + eps*I with eps below
   the smallest off-axis |Re lambda|;
 * ``perturb_campaign`` samples random perturbations at a given radius and
@@ -26,10 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densemat, matching, spectral
-from .errors import DimensionMismatch, InvalidClass, NotHyperbolic, ShiftTooSmall
+from .errors import (DimensionMismatch, InvalidClass, NonConvergence,
+                     NotHyperbolic, ShiftTooSmall)
 from .inertia import ConjugacyClass, Inertia, classify, default_tolerance
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
+# margin: the relative floor of the slack below gamma, and the cap on
+# Hamiltonian eigensolves (at most 5 were needed on the benchmark matrices).
+_SLACK = 1e-6
+_MAX_SOLVES = 64
 
 # Samples per stacked LAPACK call in perturb_campaign; bounds its memory at
 # any sample count.
@@ -38,20 +49,21 @@ _CAMPAIGN_BLOCK = 128
 
 @dataclass(eq=False)
 class MarginResult:
-    """Bracket on the distance to the nearest non-hyperbolic matrix.
+    """Bracket lower <= distance <= upper on the distance to the nearest
+    non-hyperbolic matrix.
 
-    ``upper`` is rigorous (a concrete frequency omega_star achieves it);
-    ``lower = max(0, upper - tol)`` (tol widened to the final bracket width
-    where float spacing stopped the refinement first) is heuristic in that a
-    coarse scan could in principle miss a narrow global minimum.
-    ``iterations`` counts sigma_min evaluations. Non-hyperbolic input yields
-    all zeros.
+    ``upper`` is sigma_min(A - i*omega_star*I), so a perturbation of that norm
+    reaches the axis. ``lower`` is a level at which the Hamiltonian test found
+    no crossing, so every perturbation of smaller norm keeps (s, u).
+    ``iterations`` counts sigma_min evaluations and ``solves`` Hamiltonian
+    eigensolves. Non-hyperbolic input yields all zeros.
     """
 
     lower: float
     upper: float
     omega_star: float
     iterations: int
+    solves: int
 
 
 @dataclass(eq=False)
@@ -115,77 +127,37 @@ def hyperbolize(a, tau: float | None = None,
                              delta=delta)
 
 
-def _golden_refine(m: np.ndarray, brackets, tol: float, best_val, best_omega):
-    """Golden-section refinement of scan brackets, batched across brackets.
-
-    A bracket stops at width tol, or earlier once its golden points no
-    longer fall strictly inside it (adjacent floats near a large omega can
-    be further apart than tol). Returns the best value and frequency, the
-    evaluation count and the widest final bracket.
-    """
-    eye = np.eye(m.shape[0])
-    evals = 0
-    state = []
-    for lo, hi in brackets:
-        c = hi - _INVPHI * (hi - lo)
-        d_ = lo + _INVPHI * (hi - lo)
-        state.append([lo, hi, c, d_, None, None])
-    pts = [s[2] for s in state] + [s[3] for s in state]
-    vals = spectral.sigma_min_many(
-        m[None, :, :] - 1j * np.asarray(pts)[:, None, None] * eye)
-    evals += len(pts)
-    nb = len(state)
-    for i, s in enumerate(state):
-        s[4] = float(vals[i])
-        s[5] = float(vals[nb + i])
-    for i, s in enumerate(state):
-        for v, w in ((s[4], s[2]), (s[5], s[3])):
-            if v < best_val:
-                best_val, best_omega = v, w
-    while True:
-        active = [s for s in state
-                  if s[1] - s[0] > tol and s[0] < s[2] < s[3] < s[1]]
-        if not active:
-            break
-        pts = []
-        for s in active:
-            lo, hi, c, d_, fc, fd = s
-            if fc < fd:
-                s[1] = d_
-                s[3] = c
-                s[5] = fc
-                s[2] = s[1] - _INVPHI * (s[1] - s[0])
-                pts.append(s[2])
-            else:
-                s[0] = c
-                s[2] = d_
-                s[4] = fd
-                s[3] = s[0] + _INVPHI * (s[1] - s[0])
-                pts.append(s[3])
-        vals = spectral.sigma_min_many(
-            m[None, :, :] - 1j * np.asarray(pts)[:, None, None] * eye)
-        evals += len(pts)
-        for s, v, w in zip(active, vals, pts):
-            v = float(v)
-            if w == s[2]:
-                s[4] = v
-            else:
-                s[5] = v
-            if v < best_val:
-                best_val, best_omega = v, w
-    return best_val, best_omega, evals, max(s[1] - s[0] for s in state)
-
-
 def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
     """Bracket the spectral-norm distance from A to the non-hyperbolic set.
 
-    Scans g(omega) = sigma_min(A - i*omega*I) at 4d+17 equispaced frequencies
-    in [0, ||A||] (g is even in omega for real A, and the minimizing frequency
-    cannot exceed the norm scale), then golden-sections every local-minimum
-    bracket down to width tol, or as far as the floats near omega allow. Since
-    g is 1-Lipschitz the final bracket width bounds the value error, giving
-    lower = max(0, upper - max(tol, widest final bracket)).
+    gamma starts as the least g(omega) = sigma_min(A - i*omega*I) over
+    omega in {0} and the eigenvalue frequencies |Im lambda| (from the
+    spectrum ``classify`` computed). Each step tests the level
+    l = gamma - slack with one eigensolve of [[A, -l I], [l I, -A^T]]:
 
+    * an eigenvalue within sqrt(2d*eps)*(||A|| + l) of the axis is a
+      candidate. LAPACK's eigenvalues are exact for a matrix within about
+      2d*eps*||H|| of H, where ||H|| <= ||A|| + l, and a crossing just above
+      the distance is nearly tangent, a near 2x2 Jordan block, which that
+      error moves by up to sqrt(2d*eps)*||H||;
+    * a candidate at frequency omega = |Im lambda| (g is even in omega for
+      real A) is a crossing when g(omega) <= l + slack/2. That weeds out
+      eigenvalues merely near the axis, and slack/2 covers the rounding of g
+      at a true crossing;
+    * gamma drops to the least g at the crossings and at the midpoints
+      between them (at least slack/2 per step, quadratically near the end);
+    * a level without crossings is below the distance: lower = l, upper =
+      gamma.
+
+    slack = min(gamma/4, max(tol*gamma, 1e-6*gamma, 4d*eps*||A||)). So tol
+    is the relative gap (upper - lower)/upper the caller accepts, clipped to
+    [1e-6, 1/4]: lower >= upper*3/4 > 0 at any tol. The relative floor 1e-6
+    keeps the last level well clear of the distance, where a tangent
+    crossing could hide, and the absolute one, twice the SVD's rounding of g
+    (d*eps*||A - i*omega*I|| with omega <= ||A||), keeps rounding from
+    passing for a crossing. Below that rounding floor, which no double
+    precision method resolves, lower is 3/4 of upper and not certified.
+    Raises NonConvergence when a crossing remains after _MAX_SOLVES levels.
     Non-hyperbolic (or indeterminate) input returns the all-zero result.
     """
     m = densemat.as_matrix(a)
@@ -195,34 +167,45 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
         tau = default_tolerance(m)
     verdict = classify(m, tau)
     if not verdict.is_hyperbolic:
-        return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0)
+        return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0,
+                            solves=0)
     d = m.shape[0]
-    span = densemat.op_norm2(m)
-    n_scan = 4 * d + 17
-    omegas = np.linspace(0.0, span, n_scan)
     eye = np.eye(d)
-    g = spectral.sigma_min_many(m[None, :, :] - 1j * omegas[:, None, None] * eye)
-    evals = n_scan
-    best_idx = int(np.argmin(g))
-    best_val = float(g[best_idx])
-    best_omega = float(omegas[best_idx])
-    brackets = []
-    for i in range(n_scan):
-        left_ok = i == 0 or g[i] <= g[i - 1]
-        right_ok = i == n_scan - 1 or g[i] <= g[i + 1]
-        if left_ok and right_ok:
-            lo = float(omegas[max(i - 1, 0)])
-            hi = float(omegas[min(i + 1, n_scan - 1)])
-            if hi - lo > tol:
-                brackets.append((lo, hi))
-    width = tol
-    if brackets:
-        best_val, best_omega, extra, widest = _golden_refine(
-            m, brackets, tol, best_val, best_omega)
-        evals += extra
-        width = max(tol, widest)
-    return MarginResult(lower=max(0.0, best_val - width), upper=best_val,
-                        omega_star=best_omega, iterations=evals)
+
+    def g(omegas):
+        return spectral.sigma_min_many(
+            m - 1j * np.array(omegas)[:, None, None] * eye).tolist()
+
+    norm = densemat.op_norm2(m)
+    floor = 4 * d * _EPS * norm
+    axis_rel = math.sqrt(2 * d * _EPS)
+    omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
+    evals = len(omegas)
+    gamma, omega_star = min(zip(g(omegas), omegas))
+    ham = np.zeros((2 * d, 2 * d))
+    ham[:d, :d] = m
+    ham[d:, d:] = -m.T
+    diag = np.arange(d)
+    for solves in range(1, _MAX_SOLVES + 1):
+        slack = min(gamma / 4, max(tol * gamma, _SLACK * gamma, floor))
+        level = gamma - slack
+        ham[diag, d + diag] = -level
+        ham[d + diag, diag] = level
+        axis = axis_rel * (norm + level)
+        near = [abs(v.imag) for v in spectral.eigenvalues_many(ham).tolist()
+                if abs(v.real) <= axis]
+        cross = sorted((w, v) for w, v in zip(near, g(near) if near else [])
+                       if v <= level + slack / 2)
+        evals += len(near)
+        if not cross:
+            return MarginResult(lower=level, upper=gamma, omega_star=omega_star,
+                                iterations=evals, solves=solves)
+        mids = [(lo + hi) / 2 for (lo, _), (hi, _) in zip(cross, cross[1:])]
+        if mids:
+            cross += zip(mids, g(mids))
+            evals += len(mids)
+        omega_star, gamma = min(cross, key=lambda p: p[1])
+    raise NonConvergence(f"margin: crossings remained after {_MAX_SOLVES} levels")
 
 
 def perturb_campaign(h, samples: int, radius: float, seed: int,
@@ -303,11 +286,14 @@ def continuity_check(h, sequence) -> ContinuityReport:
     # the SVD turns an overflowed entry into NaN singular values, silently
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
-    dists = densemat._singular_values(diffs)[:, 0]
+    # ||A_n - H||_2 for each n, then ||H||_2, from one stacked SVD; unlike
+    # the Frobenius norm it does not overflow for finite H
+    *dists, norm_h = densemat._singular_values(
+        np.concatenate((diffs, m[None])))[:, 0].tolist()
     k0 = len(dists) - 1
     while k0 > 0 and dists[k0 - 1] >= dists[k0]:
         k0 -= 1
-    slack = 1e-12 * (1.0 + float(np.linalg.norm(m)))
+    slack = 1e-12 * (1.0 + norm_h)
     monotone = all(mismatches[k] >= mismatches[k + 1] - slack
                    for k in range(k0, len(mismatches) - 1))
     return ContinuityReport(pairings=pairings, max_mismatch=mismatches,
@@ -409,8 +395,6 @@ def openness_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
         h = generate(ConjugacyClass(s=s, u=d - s, d=d), cond, _subseed(rng))
         tau = default_tolerance(h)
         mr = margin(h, tau, tol=0.05)
-        if mr.lower <= 0.0 and mr.upper > 0.0:
-            mr = margin(h, tau, tol=mr.upper / 4.0)
         if mr.lower <= 0.0:
             failed += 1
             continue

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths they are checking and
-import nothing from hypflow: singular values come from numpy's SVD, eigenvalue
-brackets from a bisection on a doubled Hamiltonian-structured matrix whose
+import nothing from hypflow: singular values come from numpy's SVD, distances
+to the non-hyperbolic set from a dense SVD grid with golden-section refinement
+and from a bisection on a doubled Hamiltonian-structured matrix whose
 eigenvalues come from numpy, perturbation campaigns are recounted one sample
 at a time, and small closed forms are spelled out directly.
 """
@@ -25,6 +26,45 @@ def grid_distance_oracle(a, omega_max: float, n: int = 4001) -> float:
     eye = np.eye(a.shape[0])
     return min(svd_sigma_min(a - 1j * w * eye)
                for w in np.linspace(0.0, omega_max, n))
+
+
+def refined_grid_distance(a, n: int = 4001, refine: int = 5) -> float:
+    """min over omega of sigma_min(A - i*omega*I) by a dense SVD grid on
+    [0, ||A||_2] (g increases beyond the numerical range's imaginary extent,
+    which ||A||_2 bounds), then golden-section refinement of the ``refine``
+    smallest grid minima down to adjacent floats."""
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+
+    def g(ws):
+        ws = np.atleast_1d(np.asarray(ws, dtype=float))
+        mats = a - 1j * ws[:, None, None] * eye
+        return np.linalg.svd(mats, compute_uv=False)[:, -1]
+
+    ws = np.linspace(0.0, float(np.linalg.norm(a, 2)), n)
+    vals = g(ws)
+    best = float(vals.min())
+    minima = [i for i in range(n) if (i == 0 or vals[i] <= vals[i - 1])
+              and (i == n - 1 or vals[i] <= vals[i + 1])]
+    minima.sort(key=lambda i: vals[i])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for i in minima[:refine]:
+        lo, hi = ws[max(i - 1, 0)], ws[min(i + 1, n - 1)]
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fc, fd = g([c, d])
+        for _ in range(200):
+            if not lo < c < d < hi:
+                break
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = g(c)[0]
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = g(d)[0]
+        best = min(best, float(fc), float(fd))
+    return best
 
 
 def byers_distance(a, tol: float = 1e-8) -> float:

@@ -11,9 +11,43 @@ from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
 from hypflow.inertia import ConjugacyClass
 
 from oracles import (byers_distance, campaign_recount, grid_distance_oracle,
-                     svd_sigma_min)
+                     refined_grid_distance, svd_sigma_min)
 
 BLOCK = robustness._CAMPAIGN_BLOCK
+
+
+def shear(k):
+    return np.array([[-0.5, k, 0.0], [0.0, -0.5, k], [0.0, 0.0, -0.5]])
+
+
+# Matrices on which the frequency-scan margin failed. On the first three its
+# scan missed a narrow global minimum, so lower came out above the distance;
+# on the shears, whose distance 0.125/K^2 is far below the absolute tol, it
+# returned lower = 0; on the d = 2 pair its upper sat off the SVD value. The
+# d = 2 pair also needs margin's sqrt(2d*eps)-wide axis test: with a test of
+# about 100*d*eps*||H|| the first gets a lower above the distance.
+MARGIN_FAULTS = {
+    "campaign_4x4": np.array([
+        [12.939804063564738, 9.327397651042356, 5.009742866711864,
+         -3.069741356574859],
+        [-15.391822297970245, -10.51149423194942, -6.755742816290114,
+         3.752691713325863],
+        [-9.351338311272345, -5.910618513749779, -3.7773273293903844,
+         2.4201488497421977],
+        [1.3851190004642144, 2.0640512360723116, 0.5443876111981448,
+         0.5439928680705591],
+    ]),
+    "openness_d6": robustness.generate(ConjugacyClass(2, 4, 6),
+                                       95.7903024532026, 1944551509),
+    "openness_d5": robustness.generate(ConjugacyClass(2, 3, 5),
+                                       68.55936318182472, 832228786),
+    "openness_d2_unstable": robustness.generate(ConjugacyClass(0, 2, 2),
+                                                90.43903691381396, 446629766),
+    "openness_d2_stable": robustness.generate(ConjugacyClass(2, 0, 2),
+                                              83.03137364943834, 776262900),
+    "shear_1e3": shear(1e3),
+    "shear_1e4": shear(1e4),
+}
 
 
 class TestHyperbolize:
@@ -116,7 +150,7 @@ class TestMargin:
     def test_upper_bounds_the_distance_for_a_strong_shear(self, k):
         # the distance is about 0.125/K^2, near eps*||J||^2: a sigma_min
         # taken through J^H J rounds it down below the distance or to 0
-        j = np.array([[-0.5, k, 0.0], [0.0, -0.5, k], [0.0, 0.0, -0.5]])
+        j = shear(k)
         m = robustness.margin(j)
         ref = svd_sigma_min(j - 1j * m.omega_star * np.eye(3))
         assert m.upper == pytest.approx(ref, rel=1e-8)
@@ -134,6 +168,65 @@ class TestMargin:
         assert proc.returncode == 0, proc.stderr
         lower, upper = map(float, proc.stdout.split())
         assert 0.0 < lower < upper == pytest.approx(1e4, rel=1e-6)
+
+    @pytest.mark.parametrize("name", MARGIN_FAULTS)
+    def test_recorded_faults_are_bracketed(self, name):
+        h = MARGIN_FAULTS[name]
+        m = robustness.margin(h)
+        distance = refined_grid_distance(h)
+        assert 0.0 < m.lower <= distance <= m.upper * (1.0 + 1e-8)
+
+    def test_normal_matrix_at_a_large_frequency_is_bracketed_tightly(self):
+        # normal, so the distance is min |Re lambda| = 1e4 exactly; the
+        # Hamiltonian's eigenvalues merely near the axis are no crossings
+        m = robustness.margin(np.array([[-1e4, 3e11], [-3e11, -1e4]]))
+        assert m.lower <= 1e4 <= m.upper
+        assert m.upper - m.lower <= 1e-5 * m.upper
+
+    def test_lower_certified_against_refined_grid(self):
+        # the openness suite's law; byers_distance shares the axis test's
+        # detection floor, so the reference is a dense SVD grid
+        rng = np.random.default_rng(6)
+        with_pairs = 0
+        for _ in range(100):
+            d = int(rng.integers(2, 7))
+            s = int(rng.integers(0, d + 1))
+            h = robustness.generate(ConjugacyClass(s, d - s, d),
+                                    float(rng.uniform(1.0, 100.0)),
+                                    int(rng.integers(0, 2 ** 31)))
+            with_pairs += bool(np.any(np.linalg.eigvals(h).imag != 0))
+            m = robustness.margin(h)
+            assert m.lower <= refined_grid_distance(h) <= m.upper * (1 + 1e-8)
+        assert with_pairs >= 30
+
+    def test_tol_is_a_relative_gap_clipped_to_a_quarter(self):
+        h = 1e-3 * np.diag([-1.0, 2.0])
+        for tol, gap in ((1e-12, 1e-6), (1e-6, 1e-6), (0.01, 0.01),
+                         (0.25, 0.25), (10.0, 0.25)):
+            m = robustness.margin(h, tol=tol)
+            assert m.upper == pytest.approx(1e-3, rel=1e-12)
+            assert m.lower == pytest.approx(m.upper * (1.0 - gap), rel=1e-12)
+
+    def test_counts_solves_and_evaluations(self):
+        # the eigenvalues are real, so omega = 0 is the only start, and it
+        # is the minimum: one sigma_min and one level without crossings
+        m = robustness.margin(np.diag([-1.0, 2.0]))
+        assert (m.iterations, m.solves) == (1, 1)
+        m = robustness.margin(MARGIN_FAULTS["campaign_4x4"])
+        assert m.solves > 1 and m.iterations > m.solves
+
+    def test_level_cap_raises_nonconvergence(self, monkeypatch):
+        # sigma_min values that confirm every crossing but lower gamma by
+        # less than the slack per level never reach the distance 0.01
+        state = [1.0]
+
+        def creeping(mats):
+            state[0] *= 1.0 - 0.6 * robustness._SLACK
+            return np.full(len(mats), state[0])
+
+        monkeypatch.setattr(spectral, "sigma_min_many", creeping)
+        with pytest.raises(NonConvergence):
+            robustness.margin(np.diag([-0.01, 2.0]))
 
 
 class TestPerturbCampaign:
@@ -273,7 +366,7 @@ def continuity_by_loop(h, seq):
     k0 = len(dists) - 1
     while k0 > 0 and dists[k0 - 1] >= dists[k0]:
         k0 -= 1
-    slack = 1e-12 * (1.0 + float(np.linalg.norm(h)))
+    slack = 1e-12 * (1.0 + densemat.op_norm2(h))
     monotone = all(mismatches[k] >= mismatches[k + 1] - slack
                    for k in range(k0, len(mismatches) - 1))
     return pairings, mismatches, monotone
@@ -323,6 +416,16 @@ class TestContinuity:
         assert [list(p) for p in report.pairings] == [list(p) for p in pairings]
         assert report.max_mismatch == mismatches
         assert report.monotone_tail == monotone
+
+    def test_monotone_tail_does_not_depend_on_scale(self):
+        # a Frobenius-norm slack overflows to inf above about 1e154 and then
+        # passes every tail as monotone
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((4, 4))
+        seq = [h + rng.standard_normal((4, 4)) / n for n in range(1, 9)]
+        report = robustness.continuity_check(h, seq)
+        scaled = robustness.continuity_check(1e160 * h, [1e160 * x for x in seq])
+        assert scaled.monotone_tail == report.monotone_tail
 
     def test_overflowing_distance_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError,
