@@ -143,12 +143,12 @@ def _cmd_perturb(args, stdout) -> int:
         raise MatrixFileError("--seed must be >= 0")
     radius = args.radius
     if radius is None:
-        mr = robustness.margin(m, args.tol, tol=args.margin_tol)
-        radius = 0.9 * mr.lower
+        # margin's lower bound is positive exactly on hyperbolic input
+        radius = 0.9 * robustness.margin(m, args.tol, tol=args.margin_tol).lower
         if radius <= 0.0:
-            raise MatrixFileError(
-                "cannot derive a default radius: margin lower bound is 0"
-            )
+            kind = inertia.classify(m, args.tol).kind
+            print(f"error: base matrix classified as {kind}", file=sys.stderr)
+            return EXIT_NON_HYPERBOLIC
     elif radius <= 0.0:
         raise MatrixFileError("--radius must be > 0")
     try:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densemat, spectral
-from .errors import (DimensionMismatch, NonAscendingGrid, NotHyperbolic,
-                     UnsupportedDimension)
-from .inertia import classify, default_tolerance
+from . import densemat
+from .errors import (DimensionMismatch, NonAscendingGrid, NonConvergence,
+                     NotHyperbolic, UnsupportedDimension)
+from .inertia import Inertia, classify, default_tolerance
 
 # degree-13 diagonal Pade numerator/denominator coefficients for exp
 _PADE13 = (
@@ -25,11 +25,8 @@ _EPS = float(np.finfo(float).eps)
 
 SVG_SIZE = 600
 SVG_PAD = 30.0
-# splitting squares H for a complex cluster, and applies its rank tolerance
-# 1e-10*(1 + ||H||) to unit vectors: a matrix with an entry of at least
-# 2**_SPLIT_EXP is first scaled by an exact power of two to entries below 1,
-# which keeps the subspaces.
-_SPLIT_EXP = 20
+# Newton steps the sign iteration in splitting may take before giving up
+_MAX_SIGN_STEPS = 64
 
 TRAJECTORY_COLOR = "#1f77b4"
 STABLE_COLOR = "#2ca02c"
@@ -123,93 +120,60 @@ def trajectory(h, x0, t_grid) -> Trajectory:
     return Trajectory(times=times, states=states, origin=x)
 
 
-def _orthonormal_columns(cols: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Column-pivoted modified Gram-Schmidt; keeps columns above rank_tol."""
-    work = [cols[:, j].astype(float).copy() for j in range(cols.shape[1])]
-    basis: list[np.ndarray] = []
-    while work:
-        norms = [float(np.linalg.norm(v)) for v in work]
-        idx = int(np.argmax(norms))
-        if norms[idx] <= rank_tol:
-            break
-        v = work.pop(idx)
-        for _ in range(2):
-            for b in basis:
-                v -= (b @ v) * b
-        nrm = float(np.linalg.norm(v))
-        if nrm <= rank_tol:
-            continue
-        v /= nrm
-        basis.append(v)
-        work = [w - (v @ w) * v for w in work]
-    if not basis:
-        return np.zeros((cols.shape[0], 0))
-    return np.column_stack(basis)
-
-
-def _cluster_eigenvalues(values: list[complex], ctol: float):
-    """Group a half-plane's eigenvalues with their conjugates by proximity."""
-    remaining = list(values)
-    clusters = []
-    while remaining:
-        v = remaining.pop(0)
-        members = [v]
-        rest = []
-        for w in remaining:
-            if abs(w - v) <= ctol or abs(w - v.conjugate()) <= ctol:
-                members.append(w)
-            else:
-                rest.append(w)
-        remaining = rest
-        clusters.append(members)
-    return clusters
-
-
-def _generalized_eigenspace(m: np.ndarray, cluster: list[complex],
-                            rank_tol: float) -> np.ndarray:
-    """Kernel basis of the (possibly quadratic) cluster factor raised to the
-    cluster multiplicity, extracted through the Gram matrix eigenvectors."""
-    d = m.shape[0]
-    k = len(cluster)
-    re = float(np.mean([v.real for v in cluster]))
-    im = float(np.mean([abs(v.imag) for v in cluster]))
-    ctol_im = 1e-8 * (1.0 + abs(re) + im)
-    norm_m = float(np.linalg.norm(m))
-    if im <= ctol_im:
-        factor = m - re * np.eye(d)
-        fscale = norm_m + abs(re)
-    else:
-        factor = m @ m - 2.0 * re * m + (re * re + im * im) * np.eye(d)
-        fscale = norm_m * norm_m + 2.0 * abs(re) * norm_m + re * re + im * im
-    fnorm = float(np.linalg.norm(factor))
-    if fnorm <= 1e-12 * fscale:
-        # the factor annihilates everything: the cluster spans the whole space
-        return np.eye(d)[:, :k]
-    factor = factor / fnorm
-    power = factor
-    for _ in range(k - 1):
-        power = power @ factor
-    gram = power.T @ power
-    vals, vecs = spectral.hermitian_eig_vectors(gram)
-    kernel = np.real(vecs[:, :k])
-    sigma_last = math.sqrt(max(float(vals[k - 1]), 0.0))
-    if sigma_last > 1e-6:
-        raise ArithmeticError(
-            f"eigenspace extraction failed: kernel direction has residual {sigma_last:.2e}"
-        )
-    return kernel
+def _split(m: np.ndarray, inr: Inertia) -> SplittingBases:
+    """Bases of a matrix that ``classify`` found hyperbolic with inertia inr."""
+    d, s = m.shape[0], inr.s
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    x = a = np.ldexp(m, -e)
+    last = math.inf
+    # an overflowing or undefined step shows as a non-finite norm below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_SIGN_STEPS):
+            scaled = last > 1e-2
+            try:
+                inv = np.linalg.inv(x)
+                mu = math.exp(-np.linalg.slogdet(x)[1] / d) if scaled else 1.0
+            except (np.linalg.LinAlgError, OverflowError) as exc:
+                raise NonConvergence(f"singular sign step: {exc}") from None
+            new = 0.5 * (mu * x + inv / mu)
+            norm = float(np.abs(new).sum(axis=0).max())
+            if not 0.0 < norm < math.inf:
+                raise NonConvergence("sign iteration left the finite range")
+            update = float(np.abs(new - x).sum(axis=0).max()) / norm
+            if not scaled and update >= last:
+                break
+            x, last = new, update
+            if update <= d * _EPS:
+                break
+        else:
+            raise NonConvergence(f"sign unsettled after {_MAX_SIGN_STEPS} steps")
+    # left singular vectors of 2*P_s and 2*P_u; the factor 2 moves none
+    u = np.linalg.svd(np.eye(d) + np.stack((-x, x)))[0]
+    u *= np.sign(np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None], 1))
+    q = np.hstack((u[0][:, :s], u[1][:, :d - s]))
+    # H on each basis at once: the eigenvalues of diag(Bs' H Bs, -Bu' H Bu)
+    r = q.T @ a @ q
+    r[:s, s:] = r[s:, :s] = 0.0
+    r[s:, s:] *= -1.0
+    if np.linalg.eigvals(r).real.max() >= -math.ldexp(inr.tau, -e):
+        raise NonConvergence("sign iteration settled on a wrong split")
+    return SplittingBases(stable=q[:, :s], unstable=q[:, s:])
 
 
 def splitting(h, tau: float | None = None) -> SplittingBases:
     """Orthonormal bases of the stable/unstable generalized eigenspace sums.
 
-    Eigenvalues are clustered (conjugates together), each cluster contributes
-    the kernel of its real factor raised to the cluster multiplicity, and the
-    per-side union is orthonormalized by column-pivoted Gram-Schmidt. The
-    resulting spans are invariant under H and have dimensions (s, u).
-    A matrix with an entry of 2**20 or more is first scaled by an exact
-    power of two to entries below 1, so that squaring it cannot overflow
-    and its tolerances stay meaningful.
+    They span the ranges of (I - S)/2 and (I + S)/2, S the sign function,
+    which H has exactly when it is hyperbolic (Higham 2008, ch. 5). Newton
+    steps X <- (mu X + (mu X)^-1)/2 start at H scaled by an exact power of
+    two to entries below 1; mu = |det X|^(-1/d) while the relative 1-norm
+    update exceeds 1e-2, then 1, until an update of d*eps or one that stops
+    shrinking (the iterate before it is kept). The bases are the leading s
+    and u left singular vectors of the projectors, (s, u) from ``classify``,
+    each column flipped to make its largest-magnitude entry (the first, on
+    a tie) positive. NonConvergence: a singular or non-finite step, no stop
+    in _MAX_SIGN_STEPS steps, or a split that H does not keep (which can
+    happen near conditioning 1e8).
     """
     m = densemat.as_matrix(h)
     if tau is None:
@@ -217,39 +181,7 @@ def splitting(h, tau: float | None = None) -> SplittingBases:
     verdict = classify(m, tau)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"matrix classified as {verdict.kind}")
-    amax = float(np.max(np.abs(m)))
-    e = math.frexp(amax)[1] if amax >= 2.0 ** _SPLIT_EXP else 0
-    m = np.ldexp(m, -e)
-    tau = math.ldexp(tau, -e)
-    values = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
-              for v in verdict.spectrum.values]
-    scale = 1.0 + float(np.linalg.norm(m))
-    ctol = 1e-6 * scale
-    rank_tol = 1e-10 * scale
-    d = m.shape[0]
-    bases = {}
-    for side, keep in (("stable", lambda v: v.real < -tau),
-                       ("unstable", lambda v: v.real > tau)):
-        side_vals = [v for v in values if keep(v)]
-        if not side_vals:
-            bases[side] = np.zeros((d, 0))
-            continue
-        pieces = [_generalized_eigenspace(m, cluster, rank_tol)
-                  for cluster in _cluster_eigenvalues(side_vals, ctol)]
-        merged = _orthonormal_columns(np.hstack(pieces), rank_tol)
-        if merged.shape[1] != len(side_vals):
-            raise ArithmeticError(
-                f"{side} subspace has dimension {merged.shape[1]}, "
-                f"expected {len(side_vals)}"
-            )
-        bases[side] = merged
-    inv_tol = 1e-8 * max(1.0, float(np.linalg.norm(m)))
-    for basis in bases.values():
-        if basis.shape[1]:
-            proj = basis @ (basis.T @ (m @ basis))
-            if float(np.linalg.norm(m @ basis - proj)) > inv_tol:
-                raise ArithmeticError("extracted subspace is not invariant")
-    return SplittingBases(stable=bases["stable"], unstable=bases["unstable"])
+    return _split(m, verdict.inertia)
 
 
 def _fmt(v: float) -> str:
@@ -298,14 +230,11 @@ def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
         f'tau={format(tau, ".17g")} -->',
     ]
     if verdict.is_hyperbolic:
-        split = splitting(m, tau)
+        split = _split(m, verdict.inertia)
         for basis, css, color in ((split.stable, "stable", STABLE_COLOR),
                                   (split.unstable, "unstable", UNSTABLE_COLOR)):
-            for j in range(basis.shape[1]):
-                v = basis[:, j]
-                length = 3.0 * half
-                a = to_svg(-length * v)
-                b = to_svg(length * v)
+            for v in basis.T:
+                a, b = to_svg(-3.0 * half * v), to_svg(3.0 * half * v)
                 lines.append(
                     f'<line class="{css}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
                     f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="{color}" '

@@ -88,6 +88,20 @@ class TestClassify:
         assert report["verdict"] == "hyperbolic"
         assert (report["s"], report["u"]) == (base.inertia.s, base.inertia.u)
 
+    def test_column_sum_beyond_float_range_exit_0(self, capsys, tmp_path):
+        # the 1-norm of this matrix is 2e308, past the largest float
+        path = write_fixture(tmp_path, "edge.json",
+                             [[-1e308, 1e308], [0.0, -1e308]])
+        code, out, err = run(capsys, "classify", path)
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["verdict"] == "hyperbolic"
+        assert (report["s"], report["u"]) == (2, 0)
+
     def test_malformed_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d": 2, "data": [[1, 2, 3], [4, 5]]}')
@@ -158,6 +172,15 @@ class TestPerturb:
         code, _, err = run(capsys, "perturb", rotation, "--samples", "5",
                            "--radius", "0.1")
         assert code == 2
+
+    def test_non_hyperbolic_default_radius_exit_2(self, capsys, rotation):
+        code, out, err = run(capsys, "perturb", rotation, "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "error: base matrix classified as non_hyperbolic" in err
+        _, _, err_radius = run(capsys, "perturb", rotation, "--samples", "5",
+                               "--radius", "0.1")
+        assert err == err_radius
 
 
 class TestUsage:

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from hypflow import densemat, flow, matching, robustness, spectral
-from hypflow.errors import (DimensionMismatch, NonAscendingGrid,
+from hypflow import densemat, flow, inertia, matching, robustness, spectral
+from hypflow.errors import (DimensionMismatch, NonAscendingGrid, NonConvergence,
                             NotHyperbolic, UnsupportedDimension)
 from hypflow.inertia import ConjugacyClass
 
@@ -236,6 +236,79 @@ class TestSplitting:
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NotHyperbolic):
             flow.splitting(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("cls, cond, seed", [
+        ((2, 3, 5), 1e3, 46), ((3, 3, 6), 1e4, 1), ((2, 3, 5), 1e4, 2)])
+    def test_ill_conditioned_generated(self, cls, cond, seed):
+        h = robustness.generate(ConjugacyClass(*cls), cond, seed)
+        assert_splits(h, flow.splitting(h), cls[0])
+
+    def test_ill_conditioned_sweep_answers_or_refuses(self):
+        for cond in (1e5, 1e6, 1e7, 1e8):
+            for seed in range(60):
+                rng = np.random.default_rng(seed)
+                d = int(rng.integers(2, 9))
+                s = int(rng.integers(0, d + 1))
+                h = robustness.generate(ConjugacyClass(s, d - s, d), cond, seed)
+                try:
+                    sp = flow.splitting(h)
+                except (NotHyperbolic, NonConvergence):
+                    continue
+                assert_splits(h, sp, sp.stable.shape[1])
+                assert sp.stable.shape[1] == inertia.classify(h).inertia.s
+
+    def test_step_cap_is_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(flow, "_MAX_SIGN_STEPS", 1)
+        with pytest.raises(NonConvergence):
+            flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
+
+    def test_singular_step_is_nonconvergence(self, monkeypatch):
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NonConvergence, match="singular"):
+            flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
+
+    def test_wrong_split_refused(self):
+        # Newton steps settle on a (1, 2) split of this (2, 1) matrix
+        h = robustness.generate(ConjugacyClass(2, 1, 3), 1e8, 219)
+        try:
+            sp = flow.splitting(h)
+        except NonConvergence:
+            return
+        assert_splits(h, sp, 2)
+
+    @pytest.mark.parametrize("h", [
+        [[-1.0, 0.0], [0.0, 2.0]], [[-1.0, 3.0], [0.0, 2.0]],
+        [[1.0, 0.0], [4.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]],
+        [[-2.0, 5.0], [-1.0, 1.0]]])
+    def test_columns_oriented_by_largest_entry(self, h):
+        sp = flow.splitting(np.array(h))
+        for basis in (sp.stable, sp.unstable):
+            for col in basis.T:
+                assert col[np.argmax(np.abs(col))] > 0.0
+
+    def test_column_sum_beyond_float_range(self):
+        sp = flow.splitting(np.array([[-1e308, 1e308], [0.0, -1e308]]))
+        assert sp.stable.shape == (2, 2)
+        assert sp.unstable.shape == (2, 0)
+        np.testing.assert_allclose(sp.stable.T @ sp.stable, np.eye(2), atol=1e-12)
+
+
+def assert_splits(h, sp, s):
+    """Shapes (s, u), orthonormal columns, and H on each basis keeps its
+    eigenvalues on that basis's side of the axis."""
+    d = h.shape[0]
+    assert sp.stable.shape == (d, s)
+    assert sp.unstable.shape == (d, d - s)
+    for basis, side in ((sp.stable, -1.0), (sp.unstable, 1.0)):
+        k = basis.shape[1]
+        if k == 0:
+            continue
+        np.testing.assert_allclose(basis.T @ basis, np.eye(k), atol=1e-10)
+        restricted = np.linalg.eigvals(basis.T @ h @ basis)
+        assert np.all(side * restricted.real > 0.0)
 
 
 def circle_points(n):

@@ -83,6 +83,12 @@ class TestClassify:
         assert base.kind == big.kind == inertia.HYPERBOLIC
         assert (big.inertia.s, big.inertia.u) == (base.inertia.s, base.inertia.u)
 
+    def test_column_sum_beyond_float_range(self):
+        # ||A||_1 = 2e308 overflows; the residual bound must not
+        v = inertia.classify(np.array([[-1e308, 1e308], [0.0, -1e308]]))
+        assert v.kind == inertia.HYPERBOLIC
+        assert (v.inertia.s, v.inertia.u) == (2, 0)
+
     def test_similarity_invariance(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 7))

@@ -71,6 +71,15 @@ class TestEigenvalues:
         dist = matching.matched_distance(big.values, 1e300 * small)
         assert dist <= 1e-12 * 1e300 * float(np.max(np.abs(small)))
 
+    def test_residual_bound_is_the_scaled_one_norm(self, rng):
+        for scale in (1e-290, 1.0, 1e290):
+            a = scale * rng.standard_normal((5, 5))
+            expected = 10.0 * 5 * np.finfo(float).eps * np.linalg.norm(a, 1)
+            assert spectral.eigenvalues(a).residual_bound == expected
+        huge = spectral.eigenvalues(np.array([[-1e308, 1e308], [0.0, -1e308]]))
+        # ||A||_1 = 2 * 1e308, past the largest float
+        assert huge.residual_bound == 2.0 * (10.0 * 2 * np.finfo(float).eps * 1e308)
+
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
