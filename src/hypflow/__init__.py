@@ -7,12 +7,12 @@ approximants by diagonal shifts, and simulates the flow e^{tH}.
 """
 
 from .densemat import as_matrix, det, op_norm2, shift, solve
-from .errors import (ConjugacyViolation, DimensionMismatch, HypflowError,
-                     InvalidClass, NonAscendingGrid, NonConvergence,
-                     NotHermitian, NotHyperbolic, ShiftTooSmall,
-                     UnsupportedDimension)
-from .flow import SplittingBases, Trajectory, expm, flow_map, portrait, \
-    splitting, trajectory
+from .errors import (ConjugacyViolation, DimensionMismatch, FlowOverflow,
+                     HypflowError, InvalidClass, NonAscendingGrid,
+                     NonConvergence, NotHermitian, NotHyperbolic,
+                     ShiftTooSmall, UnsupportedDimension)
+from .flow import SplittingBases, Trajectory, expm, expm_many, flow_map, \
+    portrait, splitting, trajectory
 from .inertia import (HYPERBOLIC, INDETERMINATE, NON_HYPERBOLIC,
                       ConjugacyClass, Inertia, Verdict, classify,
                       conjugacy_class, default_tolerance, inertia_of,
@@ -30,7 +30,7 @@ __all__ = [
     "as_matrix", "det", "op_norm2", "shift", "solve",
     "HypflowError", "NonConvergence", "NotHermitian", "ConjugacyViolation",
     "NotHyperbolic", "DimensionMismatch", "ShiftTooSmall", "InvalidClass",
-    "NonAscendingGrid", "UnsupportedDimension",
+    "NonAscendingGrid", "UnsupportedDimension", "FlowOverflow",
     "Spectrum", "CharPoly", "eigenvalues", "char_poly", "poly_roots",
     "poly_from_roots", "hermitian_eigs", "sigma_min",
     "min_weight_assignment", "pair_values", "matched_distance",
@@ -40,7 +40,8 @@ __all__ = [
     "MarginResult", "HyperbolizeResult", "CampaignReport", "ContinuityReport",
     "margin", "hyperbolize", "perturb_campaign", "continuity_check",
     "vieta_check", "generate",
-    "Trajectory", "SplittingBases", "expm", "flow_map", "trajectory",
+    "Trajectory", "SplittingBases", "expm", "expm_many", "flow_map",
+    "trajectory",
     "splitting", "portrait",
     "__version__",
 ]

@@ -39,3 +39,7 @@ class NonAscendingGrid(HypflowError):
 
 class UnsupportedDimension(HypflowError):
     """The operation is only defined for a specific matrix dimension."""
+
+
+class FlowOverflow(HypflowError):
+    """The flow leaves the floating-point range on the requested time grid."""

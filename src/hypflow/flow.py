@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemat
-from .errors import (DimensionMismatch, NonAscendingGrid, NonConvergence,
-                     NotHyperbolic, UnsupportedDimension)
-from .inertia import Inertia, classify, default_tolerance
+from .errors import (DimensionMismatch, FlowOverflow, NonAscendingGrid,
+                     NonConvergence, NotHyperbolic, UnsupportedDimension)
+from .inertia import Inertia, Verdict, classify, default_tolerance
 
 # degree-13 diagonal Pade numerator/denominator coefficients for exp
 _PADE13 = (
@@ -22,6 +22,7 @@ _PADE13 = (
 )
 
 _EPS = float(np.finfo(float).eps)
+_MAX = float(np.finfo(float).max)
 
 SVG_SIZE = 600
 SVG_PAD = 30.0
@@ -50,17 +51,39 @@ class SplittingBases:
     unstable: np.ndarray
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a degree-13 Pade core.
+def _halvings(norm: float, d: int) -> int:
+    """How often to halve a d x d matrix of 2-norm ``norm`` to reach 1/2."""
+    if norm <= 0.5:
+        return 0
+    if norm <= _MAX / 2:
+        return math.ceil(math.log2(norm / 0.5))
+    # norm / 0.5 would overflow (norm is inf where the SVD did), but
+    # ||M||_2 <= d * max|m_ij| < d * 2^1024
+    return 1025 + math.ceil(math.log2(d))
 
-    The input is halved j times until its norm is at most 1/2, the Pade
-    approximant is evaluated there, and the result squared j times back.
+
+def expm_many(stack) -> np.ndarray:
+    """Matrix exponentials of a (B, d, d) stack by scaling and squaring with
+    a degree-13 Pade core.
+
+    Each matrix is halved j times until its 2-norm is at most 1/2 (all norms
+    from one stacked SVD), the Pade approximant is evaluated there for the
+    whole stack with one stacked solve, and each result is squared its own
+    j times back.
+    Stacked LAPACK and BLAS calls run the same routine on each matrix, so
+    every result is bit for bit the exponential of that matrix alone.
+    Squarings that overflow give inf or nan entries.
     """
-    m = densemat.as_matrix(a)
-    norm = densemat.op_norm2(m)
-    j = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    ms = m / (2.0 ** j)
-    d = m.shape[0]
+    ms = np.array(stack, dtype=float)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
+        raise DimensionMismatch(
+            f"expected a (B, d, d) stack, got shape {ms.shape}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("matrix entries must be finite")
+    d = ms.shape[1]
+    j = np.array([_halvings(n, d) for n in
+                  densemat._singular_values(ms)[:, 0].tolist()], dtype=int)
+    ms = np.ldexp(ms, -j[:, None, None])
     eye = np.eye(d)
     b = _PADE13
     m2 = ms @ ms
@@ -70,54 +93,99 @@ def expm(a) -> np.ndarray:
               + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
-    x = densemat.solve(v - u, v + u)
-    for _ in range(j):
-        x = x @ x
+    x = np.linalg.solve(v - u, v + u)
+    for k in range(int(j.max(initial=0))):
+        more = j > k
+        x[more] = x[more] @ x[more]
     return x
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of one matrix: ``expm_many`` on a stack of one."""
+    return expm_many(densemat.as_matrix(a)[None])[0]
+
+
+def _state(x0, d: int) -> np.ndarray:
+    """Validate a start point of a flow in dimension d."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape[0] != d:
+        raise DimensionMismatch(
+            f"state has dimension {x.shape[0]}, matrix is {d}x{d}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 entries must be finite")
+    return x
+
+
+def _grid(t_grid) -> np.ndarray:
+    """Validate a time grid: nonempty, finite, strictly ascending."""
+    times = np.asarray(t_grid, dtype=float).reshape(-1)
+    if times.size == 0:
+        raise NonAscendingGrid("time grid must be nonempty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid entries must be finite")
+    if np.any(times[1:] <= times[:-1]):
+        raise NonAscendingGrid("time grid must be strictly ascending")
+    return times
+
+
+def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``trajectory``'s states e^{tH} x on a validated grid, for one state x
+    of shape (d,) or a (k, d, 1) stack of them: a stacked matrix-vector
+    product runs the same BLAS kernel on each vector, so each start point
+    of a stack moves exactly as it would alone."""
+    reuse_tol = 4.0 * _EPS * float(np.max(np.abs(times)))
+    lead = int(times[0] != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dts, which = [], []
+        for dt in np.diff(times).tolist():
+            if not dts or abs(dt - dts[-1]) > reuse_tol:
+                dts.append(dt)
+            which.append(len(dts) - 1)
+        gens = np.array([times[0]] * lead + dts)[:, None, None] * m
+        finite = np.isfinite(gens).all(axis=(1, 2))
+        gens[~finite] = 0.0  # a stand-in: its first time is refused below
+        mats = expm_many(gens)
+        finite &= np.isfinite(mats).all(axis=(1, 2))
+        steps = list(mats[lead:])
+        states = np.empty(times.shape + x.shape)
+        states[0] = mats[0] @ x if lead else x
+        # dot is the cheaper call for one state; a stack needs matmul
+        product = np.dot if x.ndim == 1 else np.matmul
+        for prev, row, i in zip(states, states[1:], which):
+            product(steps[i], prev, out=row)
+        fine = np.isfinite(states).reshape(times.size, -1).all(axis=1)
+    # a state is only as good as the matrix that made it
+    if lead:
+        fine[0] &= finite[0]
+    fine[1:] &= finite[lead:][which]
+    if not fine.all():
+        t = float(times[np.argmin(fine)])
+        raise FlowOverflow(f"the flow leaves the float range at t = {t!r}")
+    return states
 
 
 def flow_map(h, t: float, x0) -> np.ndarray:
     """Evaluate e^{tH} x0."""
     m = densemat.as_matrix(h)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != m.shape[0]:
-        raise DimensionMismatch(
-            f"state has dimension {x.shape[0]}, matrix is {m.shape[0]}x{m.shape[0]}"
-        )
-    return expm(t * m) @ x
+    return _advance(m, _state(x0, m.shape[0]), _grid(t))[0]
 
 
 def trajectory(h, x0, t_grid) -> Trajectory:
-    """Sample the flow on a strictly ascending time grid.
+    """Sample the flow on a strictly ascending grid of finite times.
 
-    The last step matrix e^{dt H} is reused while the step stays within
+    The step matrix e^{dt H} is reused while the step stays within
     4*eps*max|t| of the step it was computed for, the rounding that the
-    differences of a uniform grid carry; so a uniform grid costs a single
-    exponential plus matrix-vector products.
+    differences of a uniform grid carry. All step matrices, and e^{t0 H}
+    when t0 != 0, come from one ``expm_many`` call, so a uniform grid costs
+    a single exponential plus matrix-vector products. FlowOverflow names
+    the first time whose state, or the matrix that makes it (dt*H
+    included), leaves the float range.
     """
     m = densemat.as_matrix(h)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != m.shape[0]:
-        raise DimensionMismatch(
-            f"state has dimension {x.shape[0]}, matrix is {m.shape[0]}x{m.shape[0]}"
-        )
-    times = np.asarray(t_grid, dtype=float).reshape(-1)
-    if times.size == 0:
-        raise NonAscendingGrid("time grid must be nonempty")
-    if np.any(np.diff(times) <= 0):
-        raise NonAscendingGrid("time grid must be strictly ascending")
-    states = np.empty((times.size, m.shape[0]))
-    current = x if times[0] == 0.0 else expm(times[0] * m) @ x
-    states[0] = current
-    reuse_tol = 4.0 * _EPS * float(np.max(np.abs(times)))
-    step, step_dt = None, 0.0
-    for k in range(1, times.size):
-        dt = float(times[k] - times[k - 1])
-        if step is None or abs(dt - step_dt) > reuse_tol:
-            step, step_dt = expm(dt * m), dt
-        current = step @ current
-        states[k] = current
-    return Trajectory(times=times, states=states, origin=x)
+    x = _state(x0, m.shape[0])
+    times = _grid(t_grid)
+    return Trajectory(times=times, states=_advance(m, x, times), origin=x)
 
 
 def _split(m: np.ndarray, inr: Inertia) -> SplittingBases:
@@ -196,6 +264,15 @@ def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
     A metadata comment carries the (s, u, d, tau) annotation so the
     qualitative class is machine-readable from the document alone.
     """
+    return _portrait(h, x0_set, t_range, steps, tau)[0]
+
+
+def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
+    """``portrait``'s document and the verdict it annotates.
+
+    All start points advance as one stack on the grid, so a portrait makes
+    one ``expm_many`` call and classifies once.
+    """
     m = densemat.as_matrix(h)
     if m.shape[0] != 2:
         raise UnsupportedDimension("portraits are only drawn for 2x2 matrices")
@@ -207,9 +284,12 @@ def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
     if tau is None:
         tau = default_tolerance(m)
     verdict = classify(m, tau)
-    grid = np.linspace(t0, t1, steps + 1)
-    trajs = [trajectory(m, x0, grid).states for x0 in x0_set]
-    pts = np.vstack(trajs) if trajs else np.zeros((1, 2))
+    xs = np.array([_state(x0, 2) for x0 in x0_set]).reshape(-1, 2, 1)
+    # a range wider than the float range makes non-finite times, refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(t0, t1, steps + 1)
+    states = _advance(m, xs, _grid(grid))[..., 0]
+    pts = states.reshape(-1, 2) if len(xs) else np.zeros((1, 2))
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     half = 0.55 * float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     if half <= 0.0:
@@ -217,8 +297,8 @@ def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
     span = SVG_SIZE - 2.0 * SVG_PAD
 
     def to_svg(xy):
-        sx = SVG_PAD + (xy[0] - (center[0] - half)) / (2.0 * half) * span
-        sy = SVG_PAD + ((center[1] + half) - xy[1]) / (2.0 * half) * span
+        sx = SVG_PAD + (xy[..., 0] - (center[0] - half)) / (2.0 * half) * span
+        sy = SVG_PAD + ((center[1] + half) - xy[..., 1]) / (2.0 * half) * span
         return sx, sy
 
     lines = [
@@ -240,13 +320,12 @@ def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
                     f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="{color}" '
                     f'stroke-width="1.5"/>'
                 )
-    for states in trajs:
-        coords = " ".join(
-            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (to_svg(p) for p in states)
-        )
+    sx, sy = to_svg(states)
+    for px, py in zip(sx.T.tolist(), sy.T.tolist()):
+        coords = " ".join(map("{:.6g},{:.6g}".format, px, py))
         lines.append(
             f'<polyline fill="none" stroke="{TRAJECTORY_COLOR}" '
             f'stroke-width="1" points="{coords}"/>'
         )
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", verdict

@@ -5,10 +5,13 @@ import nothing from hypflow: singular values come from numpy's SVD, distances
 to the non-hyperbolic set from a dense SVD grid with golden-section refinement
 and from a bisection on a doubled Hamiltonian-structured matrix whose
 eigenvalues come from numpy, perturbation campaigns are recounted one sample
-at a time, and small closed forms are spelled out directly.
+at a time, the matrix exponential is evaluated one matrix at a time, and
+small closed forms are spelled out directly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -134,3 +137,34 @@ def quadratic_roots(b: float, c: float):
     """Roots of z^2 + b z + c by the closed-form formula (real b, c)."""
     disc = complex(b * b - 4.0 * c) ** 0.5
     return (-b + disc) / 2.0, (-b - disc) / 2.0
+
+
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def expm_pade13(m) -> np.ndarray:
+    """e^M by scaling and squaring, one matrix at a time: halve M j times
+    until its 2-norm (complex SVD) is at most 1/2, take the degree-13 Pade
+    approximant there, square j times. The same operations in the same
+    order as ``flow.expm``, so the two agree bit for bit."""
+    m = np.array(m, dtype=float)
+    norm = float(np.linalg.svd(m.astype(complex), compute_uv=False)[0])
+    j = 0 if norm <= 0.5 else math.ceil(math.log2(norm / 0.5))
+    ms = m / (2.0 ** j)
+    eye = np.eye(m.shape[0])
+    b = _PADE13
+    m2 = ms @ ms
+    m4 = m2 @ m2
+    m6 = m4 @ m2
+    u = ms @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+              + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
+    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
+         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(j):
+        x = x @ x
+    return x

@@ -1,10 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from hypflow import cli, inertia
+from hypflow import cli, flow, inertia
 
 
 def write_fixture(tmp_path, name, matrix):
@@ -241,6 +242,39 @@ class TestFlow:
         assert out_path.read_text().startswith("t,x1,x2\n")
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, times, when", [
+        (1e300, "0,0.1,1", "0.1"),        # e^{0.1 H} overflows
+        (1e300, "0,1e10", "10000000000.0"),  # 1e10 H itself overflows
+        (1e308, "0,1", "1.0")])           # ||H||_2 passes the float range
+    def test_overflow_exit_1(self, capsys, tmp_path, scale, times, when):
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        if scale == 1e308:
+            a = np.ones((4, 4))
+        path = write_fixture(tmp_path, "huge.json", scale * a)
+        code, out, err = run(capsys, "flow", path, "--x0", "1,1,1,1",
+                             "--times", times)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the flow leaves the float range at t = {when}\n"
+
+    @pytest.mark.parametrize("x0", ["nan,1", "1,inf", "-inf,0"])
+    def test_non_finite_x0_exit_1(self, capsys, saddle, x0):
+        code, out, err = run(capsys, "flow", saddle, "--x0=" + x0,
+                             "--times", "0,1")
+        assert code == 1
+        assert out == ""
+        assert "x0" in err
+
+    @pytest.mark.parametrize("times", ["0,nan,1", "0,inf", "nan"])
+    def test_non_finite_times_exit_1(self, capsys, saddle, times):
+        code, out, err = run(capsys, "flow", saddle, "--x0", "1,1",
+                             "--times=" + times)
+        assert code == 1
+        assert out == ""
+        assert "time grid" in err
+
+
 class TestPortrait:
     def test_saddle_svg_with_subspace_lines(self, capsys, saddle, tmp_path):
         out_path = tmp_path / "saddle.svg"
@@ -261,6 +295,23 @@ class TestPortrait:
         path = write_fixture(tmp_path, "three.json", np.eye(3))
         code, _, err = run(capsys, "portrait", str(path))
         assert code == 1
+
+
+    def test_classifies_once(self, capsys, saddle, tmp_path, monkeypatch):
+        calls = []
+        classify = inertia.classify
+
+        def counting(*args):
+            calls.append(1)
+            return classify(*args)
+
+        monkeypatch.setattr(inertia, "classify", counting)
+        monkeypatch.setattr(flow, "classify", counting)
+        code, out, _ = run(capsys, "portrait", saddle,
+                           "--out", str(tmp_path / "s.svg"))
+        assert code == 0
+        assert out == "s=1 u=1\n"
+        assert len(calls) == 1
 
 
 class TestVerify:
@@ -311,6 +362,61 @@ class TestDeterminism:
         run(capsys, "flow", saddle, "--x0", "1,2", "--times", "0,1,2",
             "--out", str(d))
         assert c.read_bytes() == d.read_bytes()
+
+
+# SHA-256 of each payload as the loop implementation (one exponential per
+# new step, one trajectory per portrait start point) wrote it, with numpy 2.4
+# and OpenBLAS 0.3 on x86-64: stacking the exponentials and the start points
+# must not move a byte.
+SHEAR3 = [[-1.0, 2.0, 0.0], [0.5, -0.3, 1.0], [0.0, -1.0, 0.2]]
+PINNED = {
+    "flow-uniform": (
+        SHEAR3, ("flow", "--x0=1,-2,0.5", "--times=" + ",".join(
+            repr(float(t)) for t in np.linspace(0.0, 4.0, 401))), "",
+        "e4ac971bf31ff3a00ae21c16e3a7bce5cf935de947a6896158776f0e80a63aea"),
+    "flow-nonuniform": (
+        SHEAR3, ("flow", "--x0=1,-2,0.5",
+                 "--times=0,0.1,0.25,0.5,1,1.5,2.75,4,4.001,7"), "",
+        "bb5cdea1aae24ee67daee8067cd0e9a95323ec74c052a716d5b49d86f725c94c"),
+    "flow-nonzero-start": (
+        SHEAR3, ("flow", "--x0=1,-2,0.5",
+                 "--times=-1.5,-0.5,0.5,0.75,1,1.25,3"), "",
+        "7ca98f7180c70ca875eb219a040e9974caf02526719a5d31350f0c12a318ea10"),
+    "portrait-saddle": (
+        [[-1.0, 0.0], [0.0, 2.0]], ("portrait",), "s=1 u=1\n",
+        "b78d5d1d3d408f6e3dff6fb0076243a817d16982b03d05b40fe4a6d3366a1fa6"),
+    "portrait-sink": (
+        [[-1.0, 0.5], [0.0, -2.0]], ("portrait",), "s=2 u=0\n",
+        "626e0d01b9f6d2d75148284410fb97bc790d5e6eaf648e0d3b3179cfe49dbf78"),
+    "portrait-focus": (
+        [[-0.5, 2.0], [-2.0, -0.5]], ("portrait", "--t1", "4"), "s=2 u=0\n",
+        "f872f3c3703b85db8e6ddba9f4e2456a7792bb14786346622a46d21315c762d2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_payload_bytes_pinned(capsys, tmp_path, name):
+    matrix, argv, stdout, digest = PINNED[name]
+    path = write_fixture(tmp_path, "m.json", matrix)
+    out_path = tmp_path / "payload"
+    code, out, err = run(capsys, argv[0], path, *argv[1:],
+                         "--out", str(out_path))
+    assert (code, out, err) == (0, stdout, "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_parser_built_once(capsys, saddle, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "classify", saddle)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
 
 
 def test_every_exit_code_reachable(capsys, saddle, rotation, tmp_path):

@@ -3,10 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from hypflow import densemat, flow, inertia, matching, robustness, spectral
-from hypflow.errors import (DimensionMismatch, NonAscendingGrid, NonConvergence,
-                            NotHyperbolic, UnsupportedDimension)
+from hypflow import (densemat, errors, flow, inertia, matching, robustness,
+                     spectral)
+from hypflow.errors import (DimensionMismatch, HypflowError, NonAscendingGrid,
+                            NonConvergence, NotHyperbolic, UnsupportedDimension)
 from hypflow.inertia import ConjugacyClass
+
+import oracles
 
 
 def scaled_random(rng, d, norm):
@@ -89,6 +92,38 @@ class TestExpm:
             ref = taylor_squaring(h)
             assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_many_bitwise_per_matrix(self, rng):
+        # one stack mixes scaling exponents 0..12, the zero matrix and a
+        # nilpotent block; each result must be that matrix's own exponential
+        for d in range(1, 9):
+            stack = [scaled_random(rng, d, norm)
+                     for norm in (1e-3, 0.3, 0.5, 0.7, 2.0, 37.0, 300.0)]
+            # norm up to 2e3 with no eigenvalue right of the axis
+            stack.append(scaled_random(rng, d, 1e3) - 1e3 * np.eye(d))
+            stack.append(np.zeros((d, d)))
+            stack.append(np.triu(rng.standard_normal((d, d)), 1))
+            stack = [stack[i] for i in rng.permutation(len(stack))]
+            out = flow.expm_many(np.array(stack))
+            assert out.shape == (len(stack), d, d)
+            for m, e in zip(stack, out):
+                assert np.array_equal(e, oracles.expm_pade13(m))
+                assert np.array_equal(e, flow.expm(m))
+
+    def test_many_empty_stack(self):
+        assert flow.expm_many(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("stack", [np.zeros((2, 2)), np.zeros((2, 2, 3)),
+                                       np.zeros((1, 0, 0))])
+    def test_many_shape_rejected(self, stack):
+        with pytest.raises(DimensionMismatch):
+            flow.expm_many(stack)
+
+    def test_many_non_finite_rejected(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            flow.expm_many(stack)
+
 
 class TestFlowMap:
     def test_time_zero_is_identity(self, rng):
@@ -134,14 +169,104 @@ class TestTrajectory:
         norms = np.linalg.norm(tr.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
+    @staticmethod
+    def count_stacked(monkeypatch):
+        """Record the stack size of every expm_many call."""
+        sizes = []
+        expm_many = flow.expm_many
+
+        def counting(stack):
+            sizes.append(len(stack))
+            return expm_many(stack)
+
+        monkeypatch.setattr(flow, "expm_many", counting)
+        return sizes
+
     def test_uniform_grid_single_exponential(self, monkeypatch):
         # linspace steps differ in their last bits; one e^{dt H} must serve all
-        calls = []
-        expm = flow.expm
-        monkeypatch.setattr(flow, "expm", lambda a: calls.append(1) or expm(a))
+        sizes = self.count_stacked(monkeypatch)
         flow.trajectory(np.array([[-1.0, 2.0], [0.0, 0.5]]), [1.0, 1.0],
                         np.linspace(0.0, 4.0, 401))
-        assert len(calls) == 1
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("grid, matrices", [
+        ([0.0, 0.5, 1.0, 1.25, 1.5, 2.5], 3),    # steps 0.5, 0.25, 1
+        ([1.0, 1.5, 2.0, 2.5], 2),               # e^{t0 H} plus one step
+        ([0.0], 0),
+        ([-2.0], 1)])
+    def test_one_stacked_call_one_matrix_per_distinct_step(
+            self, monkeypatch, grid, matrices):
+        sizes = self.count_stacked(monkeypatch)
+        flow.trajectory(np.array([[-1.0, 2.0], [0.0, 0.5]]), [1.0, 1.0], grid)
+        assert sizes == [matrices]
+
+    @pytest.mark.parametrize("start", [0.0, 0.7, -1.3])
+    def test_bitwise_per_step_loop(self, rng, start):
+        # the loop trajectory ran before its steps were stacked: one expm
+        # per new step, reused while it stays within 4*eps*max|t|
+        for _ in range(20):
+            d = int(rng.integers(1, 8))
+            h = scaled_random(rng, d, float(rng.uniform(0.2, 6.0)))
+            x0 = rng.standard_normal(d)
+            gaps = np.repeat(rng.uniform(0.01, 0.8, 6), rng.integers(1, 5, 6))
+            grid = start + np.concatenate(([0.0], np.cumsum(gaps)))
+            current = x0 if start == 0.0 else flow.expm(grid[0] * h) @ x0
+            expect = [current]
+            tol = 4.0 * np.finfo(float).eps * np.max(np.abs(grid))
+            step, step_dt = None, 0.0
+            for dt in np.diff(grid):
+                if step is None or abs(dt - step_dt) > tol:
+                    step, step_dt = flow.expm(dt * h), dt
+                current = step @ current
+                expect.append(current)
+            got = flow.trajectory(h, x0, grid).states
+            assert np.array_equal(got, np.array(expect))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_first_time(self):
+        # e^{0.1 H} of this 1e300-scaled matrix is far past the float range
+        h = 1e300 * np.random.default_rng(2).standard_normal((4, 4))
+        with pytest.raises(HypflowError, match=r"at t = 0\.1$") as exc:
+            flow.trajectory(h, [1.0, 1.0, 1.0, 1.0], [0.0, 0.1, 1.0])
+        assert isinstance(exc.value, errors.FlowOverflow)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_state_overflow_names_first_time(self):
+        # the step matrix e^{300 H} is finite, e^{900} is not
+        with pytest.raises(HypflowError, match=r"at t = 900\.0$"):
+            flow.trajectory(np.diag([1.0, -1.0]), [1.0, 1.0],
+                            [0.0, 300.0, 600.0, 900.0, 1200.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h, grid, when", [
+        # dt*H itself is past the float range: the matrix is not to blame
+        ([[0.0, 1e300], [0.0, 0.0]], [0.0, 0.5, 1e10], "10000000000.0"),
+        (1e300 * np.eye(2), [1e10, 2e10], "10000000000.0"),
+        # finite entries whose 2-norm passes the float range
+        (np.full((4, 4), 1e308), [0.0, 1.0], "1.0"),
+        # finite times whose difference passes it
+        (np.eye(2), [-1e308, 1e308], "1e+308")])
+    def test_generator_overflow_is_flow_overflow(self, h, grid, when):
+        with pytest.raises(HypflowError, match=f"at t = {re.escape(when)}$"):
+            flow.trajectory(h, np.ones(len(h)), grid)
+
+    @pytest.mark.parametrize("x0", [[np.inf, 1.0], [1.0, np.nan]])
+    def test_non_finite_state_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            flow.trajectory(np.diag([-1.0, 2.0]), x0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="x0"):
+            flow.flow_map(np.diag([-1.0, 2.0]), 1.0, x0)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, np.inf],
+                                      [-np.inf, 0.0], [np.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="time grid"):
+            flow.trajectory(np.diag([-1.0, 2.0]), [1.0, 1.0], grid)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="time"):
+            flow.flow_map(np.diag([-1.0, 2.0]), t, [1.0, 1.0])
 
     def test_descending_grid_rejected(self):
         with pytest.raises(NonAscendingGrid):
@@ -367,6 +492,38 @@ class TestPortrait:
         sa = parse_meta(flow.portrait(a, circle_points(4), (0.0, 1.0), 20))
         sb = parse_meta(flow.portrait(b, circle_points(4), (0.0, 1.0), 20))
         assert sa[:2] == sb[:2]
+
+    @pytest.mark.parametrize("h, t_range", [
+        (np.diag([-1.0, 2.0]), (0.0, 3.0)),
+        (np.array([[-0.5, 2.0], [-2.0, -0.5]]), (0.0, 4.0)),
+        (np.array([[0.3, 1.0], [-2.0, -1.1]]), (-0.5, 2.5))])
+    def test_states_bitwise_per_start_point(self, monkeypatch, h, t_range):
+        # the start points advance as one block; each must move exactly as
+        # its own trajectory does
+        blocks = []
+        advance = flow._advance
+
+        def recording(*args):
+            blocks.append(advance(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(flow, "_advance", recording)
+        x0_set = circle_points(7)
+        flow.portrait(h, x0_set, t_range, 150)
+        monkeypatch.undo()
+        (states,) = blocks
+        grid = np.linspace(t_range[0], t_range[1], 151)
+        for i, x0 in enumerate(x0_set):
+            own = flow.trajectory(h, x0, grid).states
+            assert np.array_equal(states[:, i].reshape(own.shape), own)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused(self):
+        with pytest.raises(errors.FlowOverflow, match=r"at t = 0\.9$"):
+            flow.portrait(np.diag([-1.0, 800.0]), circle_points(4), (0.0, 1.0), 10)
+        with pytest.raises(ValueError, match="time grid"):
+            flow.portrait(np.diag([-1.0, 2.0]), circle_points(4),
+                          (-1e308, 1e308), 10)
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimension):
