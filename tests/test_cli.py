@@ -405,6 +405,60 @@ def test_payload_bytes_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of [exit code, stdout, stderr] of each report request as the path
+# that classified and took ||A||_2 several times per request wrote them, with
+# numpy 2.4 and OpenBLAS 0.3 on x86-64: passing one verdict through a request
+# must not move a byte.
+NEAR_AXIS = [[-0.01, 0.0], [0.0, 2.0]]
+ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
+REPORTS = {
+    "classify-shear3": (
+        SHEAR3, ("classify",),
+        "12212d511eefa1a5ce01d21eae46125e633170c519a45e1e8ab27f5b73dece0c"),
+    "classify-rotation": (
+        ROTATION, ("classify",),
+        "886984276c2d331e690b2a34a895763dba6d8c76549378573ecd84af564fe20a"),
+    "margin-shear3": (
+        SHEAR3, ("margin",),
+        "c574efe589308c40a8e44328149fbc71a2277d7a61fcd573f0373fc0d8c5764e"),
+    "margin-shear3-tol": (
+        SHEAR3, ("margin", "--margin-tol", "0.05"),
+        "f3c882bf68a76ef705835a2758fe29c46b645691c726f1521d6f063bedff5cac"),
+    "margin-rotation": (
+        ROTATION, ("margin",),
+        "5fe2bec8debaa775f46a311c95977959ac53a9f83e875937a1c476b727ab1214"),
+    "perturb-shear3-radius": (
+        SHEAR3, ("perturb", "--samples", "200", "--radius", "0.15",
+                 "--seed", "5"),
+        "4aafa9def902fb061f87eb5bd8258bdce2000332e4cca012ddb95de1d5fdc639"),
+    "perturb-shear3": (
+        SHEAR3, ("perturb", "--samples", "200", "--seed", "5"),
+        "3510d457c11708eaf7490ebd562b23cdeb64051409caabd90a5f24bbd02b6616"),
+    "perturb-near-axis-radius": (
+        NEAR_AXIS, ("perturb", "--samples", "100", "--radius", "0.1",
+                    "--seed", "3"),
+        "826a8cb9ede4ba98867f2697c23cd30c66081f57027ca6b627139f3add537d29"),
+    "perturb-near-axis": (
+        NEAR_AXIS, ("perturb", "--samples", "100", "--seed", "3"),
+        "bcd9c7c7d5e56e2a5d4da081c4397a72099e7e771595e005694a2a30af1e0b59"),
+    "perturb-rotation-radius": (
+        ROTATION, ("perturb", "--samples", "5", "--radius", "0.1"),
+        "0daee3df2e91886c5125066ba8fdafc496731704bc126a78da813513aaa147d5"),
+    "perturb-rotation": (
+        ROTATION, ("perturb", "--samples", "5"),
+        "0daee3df2e91886c5125066ba8fdafc496731704bc126a78da813513aaa147d5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes_pinned(capsys, tmp_path, name):
+    matrix, argv, digest = REPORTS[name]
+    path = write_fixture(tmp_path, "m.json", matrix)
+    result = run(capsys, argv[0], path, *argv[1:])
+    blob = json.dumps(result).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest, result
+
+
 def test_parser_built_once(capsys, saddle, monkeypatch):
     builds = []
     build = cli.build_parser
