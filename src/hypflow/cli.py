@@ -16,6 +16,7 @@ input (or a verification failure), 3 indeterminate classification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import flow, inertia, robustness
-from .errors import HypflowError, NotHyperbolic
+from .errors import HypflowError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,10 +106,7 @@ def _cmd_classify(args, stdout) -> int:
                   key=lambda z: (z.real, z.imag))
     report = {
         "verdict": verdict.kind,
-        "s": verdict.inertia.s,
-        "u": verdict.inertia.u,
-        "c": verdict.inertia.c,
-        "tau": verdict.inertia.tau,
+        **dataclasses.asdict(verdict.inertia),
         "eigenvalues": [[z.real, z.imag] for z in eigs],
         "residual_bound": verdict.spectrum.residual_bound,
         "witness": (None if verdict.witness is None
@@ -123,8 +121,8 @@ def _cmd_classify(args, stdout) -> int:
 
 
 def _cmd_margin(args, stdout) -> int:
-    m = read_matrix(args.matrix)
-    result = robustness.margin(m, args.tol, tol=args.margin_tol)
+    verdict = inertia.classify(read_matrix(args.matrix), args.tol)
+    result = robustness._margin(verdict, args.margin_tol)
     report = {
         "lower": result.lower,
         "upper": result.upper,
@@ -132,8 +130,7 @@ def _cmd_margin(args, stdout) -> int:
         "iterations": result.iterations,
     }
     _emit(report, stdout)
-    hyperbolic = inertia.classify(m, args.tol).is_hyperbolic
-    return EXIT_OK if hyperbolic else EXIT_NON_HYPERBOLIC
+    return EXIT_OK if verdict.is_hyperbolic else EXIT_NON_HYPERBOLIC
 
 
 def _cmd_perturb(args, stdout) -> int:
@@ -142,29 +139,20 @@ def _cmd_perturb(args, stdout) -> int:
         raise MatrixFileError("--samples must be >= 1")
     if args.seed < 0:
         raise MatrixFileError("--seed must be >= 0")
-    radius = args.radius
-    if radius is None:
-        # margin's lower bound is positive exactly on hyperbolic input
-        radius = 0.9 * robustness.margin(m, args.tol, tol=args.margin_tol).lower
-        if radius <= 0.0:
-            kind = inertia.classify(m, args.tol).kind
-            print(f"error: base matrix classified as {kind}", file=sys.stderr)
-            return EXIT_NON_HYPERBOLIC
-    elif radius <= 0.0:
+    if args.radius is not None and args.radius <= 0.0:
         raise MatrixFileError("--radius must be > 0")
-    try:
-        report = robustness.perturb_campaign(m, args.samples, radius,
-                                             args.seed, args.tol)
-    except NotHyperbolic as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    verdict = inertia.classify(m, args.tol)
+    radius = args.radius
+    # margin before the verdict: a bad --margin-tol is refused on any matrix
+    if radius is None:
+        radius = 0.9 * robustness._margin(verdict, args.margin_tol).lower
+    if not verdict.is_hyperbolic:
+        print(f"error: base matrix classified as {verdict.kind}",
+              file=sys.stderr)
         return EXIT_NON_HYPERBOLIC
+    report = robustness._campaign(verdict, args.samples, radius, args.seed)
     doc = {
-        "base_inertia": {
-            "s": report.base_inertia.s,
-            "u": report.base_inertia.u,
-            "c": report.base_inertia.c,
-            "tau": report.base_inertia.tau,
-        },
+        "base_inertia": dataclasses.asdict(report.base_inertia),
         "samples": report.samples,
         "radius": report.radius,
         "flips": report.flips,
@@ -214,6 +202,10 @@ def _cmd_verify(args, stdout) -> int:
     if runner is None:
         known = ", ".join(sorted(robustness.SUITES))
         raise MatrixFileError(f"unknown suite '{args.suite}' (known: {known})")
+    if args.samples is not None and args.samples < 1:
+        raise MatrixFileError("--samples must be >= 1")
+    if args.seed < 0:
+        raise MatrixFileError("--seed must be >= 0")
     kwargs = {"seed": args.seed}
     if args.samples is not None:
         kwargs["trials"] = args.samples

@@ -12,7 +12,7 @@ import numpy as np
 from . import densemat
 from .errors import (DimensionMismatch, FlowOverflow, NonAscendingGrid,
                      NonConvergence, NotHyperbolic, UnsupportedDimension)
-from .inertia import Inertia, Verdict, classify, default_tolerance
+from .inertia import Verdict, classify
 
 # degree-13 diagonal Pade numerator/denominator coefficients for exp
 _PADE13 = (
@@ -188,8 +188,9 @@ def trajectory(h, x0, t_grid) -> Trajectory:
     return Trajectory(times=times, states=_advance(m, x, times), origin=x)
 
 
-def _split(m: np.ndarray, inr: Inertia) -> SplittingBases:
-    """Bases of a matrix that ``classify`` found hyperbolic with inertia inr."""
+def _split(verdict: Verdict) -> SplittingBases:
+    """Bases of a matrix that ``verdict`` found hyperbolic."""
+    m, inr = verdict.matrix, verdict.inertia
     d, s = m.shape[0], inr.s
     e = math.frexp(float(np.max(np.abs(m))))[1]
     x = a = np.ldexp(m, -e)
@@ -243,13 +244,10 @@ def splitting(h, tau: float | None = None) -> SplittingBases:
     in _MAX_SIGN_STEPS steps, or a split that H does not keep (which can
     happen near conditioning 1e8).
     """
-    m = densemat.as_matrix(h)
-    if tau is None:
-        tau = default_tolerance(m)
-    verdict = classify(m, tau)
+    verdict = classify(h, tau)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"matrix classified as {verdict.kind}")
-    return _split(m, verdict.inertia)
+    return _split(verdict)
 
 
 def _fmt(v: float) -> str:
@@ -273,7 +271,8 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
     All start points advance as one stack on the grid, so a portrait makes
     one ``expm_many`` call and classifies once.
     """
-    m = densemat.as_matrix(h)
+    verdict = classify(h, tau)
+    m = verdict.matrix
     if m.shape[0] != 2:
         raise UnsupportedDimension("portraits are only drawn for 2x2 matrices")
     if steps < 1:
@@ -281,9 +280,6 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise NonAscendingGrid("t_range must satisfy t0 < t1")
-    if tau is None:
-        tau = default_tolerance(m)
-    verdict = classify(m, tau)
     xs = np.array([_state(x0, 2) for x0 in x0_set]).reshape(-1, 2, 1)
     # a range wider than the float range makes non-finite times, refused
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,10 +303,10 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<!-- meta s={verdict.inertia.s} u={verdict.inertia.u} d=2 '
-        f'tau={format(tau, ".17g")} -->',
+        f'tau={format(verdict.inertia.tau, ".17g")} -->',
     ]
     if verdict.is_hyperbolic:
-        split = _split(m, verdict.inertia)
+        split = _split(verdict)
         for basis, css, color in ((split.stable, "stable", STABLE_COLOR),
                                   (split.unstable, "unstable", UNSTABLE_COLOR)):
             for v in basis.T:

@@ -15,7 +15,7 @@ Hyperbolic when rounding could have flipped a sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,28 +56,42 @@ class Verdict:
 
     ``witness`` is an on-axis eigenvalue for non-hyperbolic verdicts (the one
     with smallest |Re|, ties broken by |Im| then lexicographically), None
-    otherwise. The spectrum that produced the verdict is kept for reporting.
+    otherwise. The spectrum, the validated ``matrix`` and its 2-norm ``norm``
+    (taken for the default tau, else on first use) go with the verdict to
+    the functions it is passed on to, so a request analyses its matrix once.
     """
 
     kind: str
     inertia: Inertia
     witness: complex | None
     spectrum: spectral.Spectrum
+    matrix: np.ndarray | None = field(default=None, repr=False)
+    _norm: float | None = field(default=None, repr=False)
 
     @property
     def is_hyperbolic(self) -> bool:
         return self.kind == HYPERBOLIC
 
+    @property
+    def norm(self) -> float:
+        if self._norm is None:
+            self._norm = densemat.op_norm2(self.matrix)
+        return self._norm
+
+
+def _tolerance(norm: float) -> float:
+    return 1e-9 * (1.0 + norm)
+
 
 def default_tolerance(a) -> float:
     """Relative axis tolerance 1e-9 * (1 + ||A||_2)."""
-    return 1e-9 * (1.0 + densemat.op_norm2(a))
+    return _tolerance(densemat.op_norm2(a))
 
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
     """Count eigenvalues left of, right of, and inside the axis band."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
     re = np.real(np.asarray(spec.values))
     s = int(np.sum(re < -tau))
     u = int(np.sum(re > tau))
@@ -98,19 +112,19 @@ def classify(a, tau: float | None = None) -> Verdict:
     (a witness is attached); anything in between is Indeterminate.
     """
     m = densemat.as_matrix(a)
+    norm = None
     if tau is None:
-        tau = default_tolerance(m)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+        norm = densemat.op_norm2(m)
+        tau = _tolerance(norm)
     spec = spectral.eigenvalues(m)
     inr = inertia_of(spec, tau)
+    kind, witness = INDETERMINATE, None
     if inr.c > 0:
-        return Verdict(kind=NON_HYPERBOLIC, inertia=inr,
-                       witness=_witness(spec.values, tau), spectrum=spec)
-    min_re = float(np.min(np.abs(np.real(spec.values))))
-    if min_re > tau + spec.residual_bound:
-        return Verdict(kind=HYPERBOLIC, inertia=inr, witness=None, spectrum=spec)
-    return Verdict(kind=INDETERMINATE, inertia=inr, witness=None, spectrum=spec)
+        kind, witness = NON_HYPERBOLIC, _witness(spec.values, tau)
+    elif np.min(np.abs(spec.values.real)) > tau + spec.residual_bound:
+        kind = HYPERBOLIC
+    return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
+                   matrix=m, _norm=norm)
 
 
 def conjugacy_class(a, tau: float | None = None) -> ConjugacyClass:
@@ -128,12 +142,7 @@ def same_class(a, b, tau: float | None = None) -> bool:
     By the classical classification of linear hyperbolic flows this decides
     whether e^{tA} and e^{tB} are topologically conjugate.
     """
-    ma = densemat.as_matrix(a)
-    mb = densemat.as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(
-            f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}"
-        )
-    ca = conjugacy_class(ma, tau)
-    cb = conjugacy_class(mb, tau)
+    ca, cb = conjugacy_class(a, tau), conjugacy_class(b, tau)
+    if ca.d != cb.d:
+        raise DimensionMismatch(f"dimension mismatch: {ca.d} vs {cb.d}")
     return (ca.s, ca.u) == (cb.s, cb.u)

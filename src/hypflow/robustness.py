@@ -34,7 +34,8 @@ import numpy as np
 from . import densemat, matching, spectral
 from .errors import (DimensionMismatch, InvalidClass, NonConvergence,
                      NotHyperbolic, ShiftTooSmall)
-from .inertia import ConjugacyClass, Inertia, classify, default_tolerance
+from .inertia import (ConjugacyClass, Inertia, Verdict, classify,
+                      default_tolerance)
 
 _EPS = float(np.finfo(float).eps)
 # margin: the relative floor of the slack below gamma, and the cap on
@@ -107,15 +108,13 @@ def hyperbolize(a, tau: float | None = None,
     matrix. Raises ShiftTooSmall if the computed eps does not clear the
     tolerance band.
     """
-    m = densemat.as_matrix(a)
-    if eps_cap is not None and eps_cap <= 0:
-        raise ValueError("eps_cap must be > 0")
-    if tau is None:
-        tau = default_tolerance(m)
+    if eps_cap is not None and not 0 < eps_cap < math.inf:
+        raise ValueError("eps_cap must be finite and > 0")
+    verdict = classify(a, tau)
+    m, tau = verdict.matrix, verdict.inertia.tau
     if eps_cap is None:
         eps_cap = max(1.0, 10.0 * tau)
-    spec = spectral.eigenvalues(m)
-    re = np.abs(np.real(spec.values))
+    re = np.abs(verdict.spectrum.values.real)
     off_axis = re[re > tau]
     delta = float(np.min(off_axis)) if off_axis.size else math.inf
     eps = min(eps_cap, delta / 2.0)
@@ -160,15 +159,17 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
     Raises NonConvergence when a crossing remains after _MAX_SOLVES levels.
     Non-hyperbolic (or indeterminate) input returns the all-zero result.
     """
-    m = densemat.as_matrix(a)
-    if tol <= 0:
+    return _margin(classify(a, tau), tol)
+
+
+def _margin(verdict: Verdict, tol: float) -> MarginResult:
+    """``margin`` of the matrix that ``verdict`` classified."""
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    if tau is None:
-        tau = default_tolerance(m)
-    verdict = classify(m, tau)
     if not verdict.is_hyperbolic:
         return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0,
                             solves=0)
+    m, norm = verdict.matrix, verdict.norm
     d = m.shape[0]
     eye = np.eye(d)
 
@@ -176,7 +177,6 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
         return spectral.sigma_min_many(
             m - 1j * np.array(omegas)[:, None, None] * eye).tolist()
 
-    norm = densemat.op_norm2(m)
     floor = 4 * d * _EPS * norm
     axis_rel = math.sqrt(2 * d * _EPS)
     omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
@@ -220,19 +220,21 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     directions' norms and one stacked eigenvalue call the perturbed spectra,
     with the same per-matrix arithmetic as one call per sample.
     """
-    m = densemat.as_matrix(h)
+    return _campaign(classify(h, tau), samples, radius, seed)
+
+
+def _campaign(verdict: Verdict, samples: int, radius: float,
+              seed: int) -> CampaignReport:
+    """``perturb_campaign`` around the matrix that ``verdict`` classified."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be finite and > 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if tau is None:
-        tau = default_tolerance(m)
-    verdict = classify(m, tau)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"base matrix classified as {verdict.kind}")
-    base = verdict.inertia
+    m, base, tau = verdict.matrix, verdict.inertia, verdict.inertia.tau
     d = m.shape[0]
     flips = 0
     witnesses = []
@@ -392,14 +394,14 @@ def openness_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
         d = int(rng.integers(2, 7))
         s = int(rng.integers(0, d + 1))
         cond = float(rng.uniform(1.0, 100.0))
-        h = generate(ConjugacyClass(s=s, u=d - s, d=d), cond, _subseed(rng))
-        tau = default_tolerance(h)
-        mr = margin(h, tau, tol=0.05)
+        verdict = classify(generate(ConjugacyClass(s=s, u=d - s, d=d), cond,
+                                    _subseed(rng)))
+        mr = _margin(verdict, tol=0.05)
         if mr.lower <= 0.0:
             failed += 1
             continue
-        report = perturb_campaign(h, samples=1, radius=0.9 * mr.lower,
-                                  seed=_subseed(rng), tau=tau)
+        report = _campaign(verdict, samples=1, radius=0.9 * mr.lower,
+                           seed=_subseed(rng))
         if report.flips:
             failed += 1
         worst = max(worst, float(report.flips))

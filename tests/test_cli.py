@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from hypflow import cli, flow, inertia
+import hypflow
+from hypflow import cli, flow, inertia, robustness
 
 
 def write_fixture(tmp_path, name, matrix):
@@ -332,6 +333,95 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "bogus")
         assert code == 1
         assert "unknown suite" in err
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("command", ["classify", "margin", "perturb",
+                                         "portrait"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_1(self, capsys, saddle, command, tol):
+        # nan used to end in a traceback, inf in "tau": Infinity or tau=inf
+        code, out, err = run(capsys, command, saddle, "--tol=" + tol)
+        assert (code, out) == (1, "")
+        assert err == "error: tau must be finite and >= 0\n"
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_exit_1(self, capsys, saddle, radius):
+        code, out, err = run(capsys, "perturb", saddle, "--samples", "5",
+                             "--radius", radius)
+        assert (code, out) == (1, "")
+        assert err == "error: radius must be finite and > 0\n"
+
+    @pytest.mark.parametrize("argv", [("margin",),
+                                      ("perturb", "--samples", "5")])
+    def test_nan_margin_tol_exit_1(self, capsys, saddle, argv):
+        # nan used to pass as 1/4: lower = 0.75*upper, exit 0
+        code, out, err = run(capsys, argv[0], saddle, *argv[1:],
+                             "--margin-tol", "nan")
+        assert (code, out) == (1, "")
+        assert err == "error: tol must be > 0\n"
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_samples_exit_1(self, capsys, samples):
+        # -5 used to report "total": -5 and pass
+        code, out, err = run(capsys, "verify", "openness",
+                             "--samples", samples)
+        assert (code, out) == (1, "")
+        assert err == "error: --samples must be >= 1\n"
+
+    def test_verify_seed_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "vieta", "--samples", "3",
+                             "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be >= 0\n"
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Counts of ``inertia.classify`` calls and of SVDs of a single matrix
+    (the 2-norm of the input; every other SVD on these paths is of a stack)."""
+    counts = {"classify": 0, "svd": 0}
+    classify, svd = inertia.classify, np.linalg.svd
+
+    def counting_classify(*args, **kwargs):
+        counts["classify"] += 1
+        return classify(*args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        counts["svd"] += np.ndim(a) == 2
+        return svd(a, *args, **kwargs)
+
+    for module in (hypflow, inertia, robustness, flow, cli):
+        if getattr(module, "classify", None) is classify:
+            monkeypatch.setattr(module, "classify", counting_classify)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+class TestOneAnalysisPerRequest:
+    # a request given --tol needs ||A||_2 only for margin's rounding floor
+    @pytest.mark.parametrize("argv, svds", [
+        (("margin",), 1), (("margin", "--tol", "1e-6"), 1),
+        (("perturb", "--samples", "20"), 1),
+        (("perturb", "--samples", "20", "--radius", "0.1"), 1),
+        (("perturb", "--samples", "20", "--tol", "1e-6"), 1),
+        (("perturb", "--samples", "20", "--radius", "0.1", "--tol", "1e-6"),
+         0),
+        (("portrait",), 1), (("portrait", "--tol", "1e-6"), 0)],
+        ids=["margin", "margin-tol", "perturb", "perturb-radius",
+             "perturb-tol", "perturb-radius-tol", "portrait", "portrait-tol"])
+    def test_cli_request(self, capsys, saddle, tmp_path, analyses, argv,
+                         svds):
+        code, _, err = run(capsys, argv[0], saddle, *argv[1:],
+                           *(("--out", str(tmp_path / "p.svg"))
+                             if argv[0] == "portrait" else ()))
+        assert code == 0, err
+        assert analyses == {"classify": 1, "svd": svds}
+
+    def test_openness_trial(self, analyses):
+        result = robustness.openness_suite(seed=3, trials=4)
+        assert result.passed == 4
+        assert analyses == {"classify": 4, "svd": 4}
 
 
 class TestDeterminism:

@@ -362,6 +362,11 @@ class TestSplitting:
         with pytest.raises(NotHyperbolic):
             flow.splitting(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            flow.splitting(np.diag([-1.0, 2.0]), tau)
+
     @pytest.mark.parametrize("cls, cond, seed", [
         ((2, 3, 5), 1e3, 46), ((3, 3, 6), 1e4, 1), ((2, 3, 5), 1e4, 2)])
     def test_ill_conditioned_generated(self, cls, cond, seed):
@@ -481,6 +486,12 @@ class TestPortrait:
         assert (s, u) == (0, 0)
         poly = parse_polylines(svg)[0]
         assert np.linalg.norm(poly[0] - poly[-1]) < 1.0  # orbit closes
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # inf used to be written into the meta comment as tau=inf
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            flow.portrait(np.diag([-1.0, 2.0]), circle_points(2), tau=tau)
 
     def test_byte_determinism(self):
         args = (np.diag([-1.0, 2.0]), circle_points(8), (0.0, 2.0), 50)

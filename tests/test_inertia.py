@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypflow import inertia, robustness, spectral
+from hypflow import densemat, inertia, robustness, spectral
 from hypflow.errors import DimensionMismatch, NotHyperbolic
 from hypflow.inertia import ConjugacyClass
 
@@ -29,6 +29,11 @@ class TestInertiaOf:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             inertia.inertia_of(spectrum_of([1.0]), -1.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            inertia.inertia_of(spectrum_of([1.0]), tau)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), tau=st.floats(0, 1.0))
@@ -88,6 +93,20 @@ class TestClassify:
         v = inertia.classify(np.array([[-1e308, 1e308], [0.0, -1e308]]))
         assert v.kind == inertia.HYPERBOLIC
         assert (v.inertia.s, v.inertia.u) == (2, 0)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_bad_tau_rejected(self, tau):
+        # nan used to reach the witness search and die with an IndexError
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            inertia.classify(np.array([[0.0, 1.0], [-1.0, 0.0]]), tau)
+
+    def test_verdict_carries_matrix_and_norm(self):
+        a = [[-1.0, 3.0], [0.0, 2.0]]
+        v = inertia.classify(a)
+        np.testing.assert_array_equal(v.matrix, a)
+        assert v.norm == densemat.op_norm2(a)
+        assert v.inertia.tau == inertia.default_tolerance(a)
+        assert inertia.classify(a, 0.5).norm == v.norm
 
     def test_similarity_invariance(self, rng):
         for _ in range(20):

@@ -89,6 +89,20 @@ class TestHyperbolize:
         with pytest.raises(ValueError):
             robustness.hyperbolize(np.eye(2), eps_cap=0.0)
 
+    @pytest.mark.parametrize("eps_cap", [np.nan, np.inf])
+    def test_eps_cap_must_be_finite(self, eps_cap):
+        # these used to return an all-nan or inf shifted matrix
+        with pytest.raises(ValueError, match="eps_cap must be finite"):
+            robustness.hyperbolize(np.zeros((2, 2)), eps_cap=eps_cap)
+
+    @pytest.mark.parametrize("a, tau", [
+        ([[1.0, 0.0], [0.0, -1.0]], np.nan),  # used to return [[2, 0], [0, 0]]
+        ([[0.0]], -1.0),                      # used to return epsilon = 0
+        ([[0.0]], np.inf)])
+    def test_bad_tau_rejected(self, a, tau):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            robustness.hyperbolize(a, tau)
+
     def test_shift_too_small(self):
         with pytest.raises(ShiftTooSmall):
             robustness.hyperbolize(np.zeros((2, 2)), tau=1e-3, eps_cap=1e-6)
@@ -145,6 +159,12 @@ class TestMargin:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             robustness.margin(np.diag([-1.0, 2.0]), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        # nan used to pass as the clipped maximum 1/4
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            robustness.margin(np.diag([-1.0, 2.0]), tol=tol)
 
     @pytest.mark.parametrize("k", [1e3, 1e4])
     def test_upper_bounds_the_distance_for_a_strong_shear(self, k):
@@ -271,6 +291,13 @@ class TestPerturbCampaign:
         with pytest.raises(ValueError):
             robustness.perturb_campaign(np.diag([-1.0, 2.0]),
                                         samples=0, radius=0.1, seed=1)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf])
+    def test_radius_validated(self, radius):
+        # nan and inf used to fail as "matrix entries must be finite"
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            robustness.perturb_campaign(np.diag([-1.0, 2.0]),
+                                        samples=5, radius=radius, seed=1)
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NotHyperbolic):
