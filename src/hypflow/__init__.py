@@ -6,11 +6,10 @@ how large a perturbation the classification survives, constructs hyperbolic
 approximants by diagonal shifts, and simulates the flow e^{tH}.
 """
 
-from .densemat import as_matrix, det, op_norm2, shift, solve
-from .errors import (ConjugacyViolation, DimensionMismatch, FlowOverflow,
-                     HypflowError, InvalidClass, NonAscendingGrid,
-                     NonConvergence, NotHermitian, NotHyperbolic,
-                     ShiftTooSmall, UnsupportedDimension)
+from .densemat import as_matrix, det, op_norm2
+from .errors import (DimensionMismatch, FlowOverflow, HypflowError,
+                     InvalidClass, NonAscendingGrid, NonConvergence,
+                     NotHyperbolic, ShiftTooSmall, UnsupportedDimension)
 from .flow import SplittingBases, Trajectory, expm, expm_many, flow_map, \
     portrait, splitting, trajectory
 from .inertia import (HYPERBOLIC, INDETERMINATE, NON_HYPERBOLIC,
@@ -22,17 +21,17 @@ from .robustness import (CampaignReport, ContinuityReport, HyperbolizeResult,
                          MarginResult, continuity_check, generate,
                          hyperbolize, margin, perturb_campaign, vieta_check)
 from .spectral import (CharPoly, Spectrum, char_poly, eigenvalues,
-                       hermitian_eigs, poly_from_roots, poly_roots, sigma_min)
+                       poly_roots, sigma_min)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "as_matrix", "det", "op_norm2", "shift", "solve",
-    "HypflowError", "NonConvergence", "NotHermitian", "ConjugacyViolation",
-    "NotHyperbolic", "DimensionMismatch", "ShiftTooSmall", "InvalidClass",
-    "NonAscendingGrid", "UnsupportedDimension", "FlowOverflow",
+    "as_matrix", "det", "op_norm2",
+    "HypflowError", "NonConvergence", "NotHyperbolic", "DimensionMismatch",
+    "ShiftTooSmall", "InvalidClass", "NonAscendingGrid",
+    "UnsupportedDimension", "FlowOverflow",
     "Spectrum", "CharPoly", "eigenvalues", "char_poly", "poly_roots",
-    "poly_from_roots", "hermitian_eigs", "sigma_min",
+    "sigma_min",
     "min_weight_assignment", "pair_values", "matched_distance",
     "Inertia", "ConjugacyClass", "Verdict", "HYPERBOLIC", "NON_HYPERBOLIC",
     "INDETERMINATE", "classify", "conjugacy_class", "default_tolerance",

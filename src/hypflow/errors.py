@@ -9,14 +9,6 @@ class NonConvergence(HypflowError):
     """An iterative solver exceeded its iteration cap."""
 
 
-class NotHermitian(HypflowError):
-    """A matrix expected to be Hermitian failed the symmetry check."""
-
-
-class ConjugacyViolation(HypflowError):
-    """Roots expected to pair into complex conjugates do not."""
-
-
 class NotHyperbolic(HypflowError):
     """An operation requiring a hyperbolic matrix got a non-hyperbolic one."""
 

@@ -74,12 +74,10 @@ def expm_many(stack) -> np.ndarray:
     every result is bit for bit the exponential of that matrix alone.
     Squarings that overflow give inf or nan entries.
     """
-    ms = np.array(stack, dtype=float)
+    ms = densemat._entries(stack, "matrix")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
         raise DimensionMismatch(
             f"expected a (B, d, d) stack, got shape {ms.shape}")
-    if not np.all(np.isfinite(ms)):
-        raise ValueError("matrix entries must be finite")
     d = ms.shape[1]
     j = np.array([_halvings(n, d) for n in
                   densemat._singular_values(ms)[:, 0].tolist()], dtype=int)
@@ -107,23 +105,19 @@ def expm(a) -> np.ndarray:
 
 def _state(x0, d: int) -> np.ndarray:
     """Validate a start point of a flow in dimension d."""
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    x = densemat._entries(x0, "x0").reshape(-1)
     if x.shape[0] != d:
         raise DimensionMismatch(
             f"state has dimension {x.shape[0]}, matrix is {d}x{d}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 entries must be finite")
     return x
 
 
 def _grid(t_grid) -> np.ndarray:
-    """Validate a time grid: nonempty, finite, strictly ascending."""
-    times = np.asarray(t_grid, dtype=float).reshape(-1)
+    """Validate a time grid: nonempty, real, finite, strictly ascending."""
+    times = densemat._entries(t_grid, "time grid").reshape(-1)
     if times.size == 0:
         raise NonAscendingGrid("time grid must be nonempty")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time grid entries must be finite")
     if np.any(times[1:] <= times[:-1]):
         raise NonAscendingGrid("time grid must be strictly ascending")
     return times

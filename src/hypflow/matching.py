@@ -24,6 +24,9 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"cost matrix must be square, got {c.shape}")
+    # an inf or nan reduced cost is never the least, so no column is chosen
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost entries must be finite")
     n = c.shape[0]
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -82,7 +85,9 @@ def pair_values(a, b) -> tuple[list[int], float]:
         raise DimensionMismatch(
             f"cannot pair {len(av)} values with {len(bv)} values"
         )
-    cost = np.abs(av[:, None] - bv[None, :])
+    # an overflowed distance is refused by min_weight_assignment
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.abs(av[:, None] - bv[None, :])
     perm, _ = min_weight_assignment(cost)
     max_dist = float(max(cost[i][perm[i]] for i in range(len(av))))
     return perm, max_dist

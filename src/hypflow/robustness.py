@@ -276,18 +276,20 @@ def continuity_check(h, sequence) -> ContinuityReport:
             raise DimensionMismatch(
                 f"sequence entry has dimension {x.shape[0]}, expected {m.shape[0]}"
             )
-    eig_h = spectral.eigenvalues(m).values
     stack = np.stack(mats)
+    with np.errstate(over="ignore"):
+        diffs = stack - m
+    # an overflowed entry would stall the eigenvalue matching, and the SVD
+    # would turn it into NaN singular values, silently
+    if not np.all(np.isfinite(diffs)):
+        raise ValueError("matrix entries must be finite")
+    eig_h = spectral.eigenvalues(m).values
     pairings = []
     mismatches = []
     for eig_n in spectral.eigenvalues_many(stack):
         perm, max_d = matching.pair_values(eig_n, eig_h)
         pairings.append(perm)
         mismatches.append(max_d)
-    diffs = stack - m
-    # the SVD turns an overflowed entry into NaN singular values, silently
-    if not np.all(np.isfinite(diffs)):
-        raise ValueError("matrix entries must be finite")
     # ||A_n - H||_2 for each n, then ||H||_2, from one stacked SVD; unlike
     # the Frobenius norm it does not overflow for finite H
     *dists, norm_h = densemat._singular_values(
@@ -340,8 +342,8 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     """
     if cls.s < 0 or cls.u < 0 or cls.s + cls.u != cls.d or cls.d < 1:
         raise InvalidClass(f"inconsistent class (s={cls.s}, u={cls.u}, d={cls.d})")
-    if conditioning < 1.0:
-        raise ValueError("conditioning must be >= 1")
+    if not 1.0 <= conditioning < math.inf:
+        raise ValueError("conditioning must be finite and >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     blocks = []
     for count, sign in ((cls.s, -1.0), (cls.u, 1.0)):

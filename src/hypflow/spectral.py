@@ -4,10 +4,9 @@ The production route computes all eigenvalues of a matrix with LAPACK
 ``geev`` through ``numpy.linalg``. The verification route goes through the
 characteristic polynomial (Faddeev-LeVerrier recurrence) and a simultaneous
 Aberth-Ehrlich root finder, so each path can serve as the other's oracle.
-Hermitian eigenproblems and smallest singular values are LAPACK calls through
-``numpy.linalg`` as well; sigma_min is taken from an SVD of the matrix
-itself, never from its Gram matrix M^H M, which would square the condition
-number.
+Smallest singular values are LAPACK calls through ``numpy.linalg`` as well,
+taken from an SVD of the matrix itself, never from its Gram matrix M^H M,
+which would square the condition number.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _as_real_or_complex, _singular_values, as_matrix
-from .errors import DimensionMismatch, NonConvergence, NotHermitian, ConjugacyViolation
+from .densemat import _singular_values, as_matrix
+from .errors import DimensionMismatch, NonConvergence
 
 _EPS = float(np.finfo(float).eps)
 
@@ -50,10 +49,6 @@ class CharPoly:
 
     coeffs: np.ndarray
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def eigenvalues(a) -> Spectrum:
     """All eigenvalues of a square matrix, counting algebraic multiplicity.
@@ -68,7 +63,7 @@ def eigenvalues(a) -> Spectrum:
     for bit.
     Raises NonConvergence if LAPACK reports that its QR iteration failed.
     """
-    m = _as_real_or_complex(a)
+    m = as_matrix(a)
     values = eigenvalues_many(m)
     mag = np.abs(m)
     e = math.frexp(float(mag.max()))[1]
@@ -199,67 +194,6 @@ def poly_roots(p) -> Spectrum:
         est = (abs(pv) + bound) / max(abs(dv), 1e-300)
         residual = max(residual, min(est, 1.0))
     return Spectrum(values=z, residual_bound=residual)
-
-
-def poly_from_roots(roots) -> CharPoly:
-    """Expand the product of (z - root) and rescale to the (-1)^d convention.
-
-    Roots must describe a real polynomial: non-real values are paired into
-    conjugates (ConjugacyViolation if that fails) and each pair is expanded
-    as an exactly real quadratic factor.
-    """
-    if isinstance(roots, Spectrum):
-        vals = np.asarray(roots.values, dtype=complex)
-        pair_tol = max(10.0 * roots.residual_bound, 1e-8)
-    else:
-        vals = np.atleast_1d(np.asarray(roots, dtype=complex))
-        pair_tol = 1e-8
-    d = len(vals)
-    if d == 0:
-        raise ValueError("need at least one root")
-    real_parts = []
-    ups = []
-    downs = []
-    for v in vals:
-        if abs(v.imag) <= pair_tol * (1.0 + abs(v)):
-            real_parts.append(v.real)
-        elif v.imag > 0:
-            ups.append(v)
-        else:
-            downs.append(v)
-    if len(ups) != len(downs):
-        raise ConjugacyViolation(
-            f"{len(ups)} roots above the real axis vs {len(downs)} below"
-        )
-    ups.sort(key=lambda v: (v.real, v.imag))
-    downs.sort(key=lambda v: (v.real, -v.imag))
-    poly = np.array([1.0])
-    for up, down in zip(ups, downs):
-        if abs(up - down.conjugate()) > pair_tol * (1.0 + abs(up)):
-            raise ConjugacyViolation(
-                f"roots {up} and {down} do not pair into conjugates"
-            )
-        re = 0.5 * (up.real + down.real)
-        im = 0.5 * (up.imag - down.imag)
-        poly = np.convolve(poly, np.array([re * re + im * im, -2.0 * re, 1.0]))
-    for r in real_parts:
-        poly = np.convolve(poly, np.array([-r, 1.0]))
-    sign = -1.0 if d % 2 else 1.0
-    return CharPoly(coeffs=sign * poly)
-
-
-def _hermitian(m) -> np.ndarray:
-    """Validated Hermitian matrix, symmetrized; NotHermitian beyond 1e-12."""
-    a = _as_real_or_complex(m)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
-        raise NotHermitian("matrix is not Hermitian within 1e-12")
-    return 0.5 * (a + a.conj().T)
-
-
-def hermitian_eigs(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK eigvalsh)."""
-    return np.linalg.eigvalsh(_hermitian(m))
 
 
 def sigma_min(m) -> float:

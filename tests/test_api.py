@@ -1,0 +1,51 @@
+import numpy as np
+import pytest
+
+import hypflow
+
+# The public surface. Adding or deleting a name is meant to show up here.
+PUBLIC = [
+    "CampaignReport", "CharPoly", "ConjugacyClass", "ContinuityReport",
+    "DimensionMismatch", "FlowOverflow", "HYPERBOLIC", "HyperbolizeResult",
+    "HypflowError", "INDETERMINATE", "Inertia", "InvalidClass",
+    "MarginResult", "NON_HYPERBOLIC", "NonAscendingGrid", "NonConvergence",
+    "NotHyperbolic", "ShiftTooSmall", "Spectrum", "SplittingBases",
+    "Trajectory", "UnsupportedDimension", "Verdict", "__version__",
+    "as_matrix", "char_poly", "classify", "conjugacy_class",
+    "continuity_check", "default_tolerance", "det", "eigenvalues", "expm",
+    "expm_many", "flow_map", "generate", "hyperbolize", "inertia_of",
+    "margin", "matched_distance", "min_weight_assignment", "op_norm2",
+    "pair_values", "perturb_campaign", "poly_roots", "portrait",
+    "same_class", "sigma_min", "splitting", "trajectory", "vieta_check",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(hypflow.__all__) == PUBLIC
+    assert len(PUBLIC) == 51
+    for name in PUBLIC:
+        assert hasattr(hypflow, name), name
+
+
+# Every question about a matrix asks it of a real one.
+REAL_MATRIX_CALLS = {
+    "classify": hypflow.classify,
+    "margin": hypflow.margin,
+    "perturb_campaign": lambda a: hypflow.perturb_campaign(a, 5, 0.1, 0),
+    "continuity_check": lambda a: hypflow.continuity_check(a, [np.eye(2)]),
+    "continuity_sequence": lambda a: hypflow.continuity_check(np.eye(2), [a]),
+    "splitting": hypflow.splitting,
+    "trajectory": lambda a: hypflow.trajectory(a, [1.0, 1.0], [0.0, 1.0]),
+    "expm": hypflow.expm,
+    "det": hypflow.det,
+    "eigenvalues": hypflow.eigenvalues,
+}
+
+
+@pytest.mark.parametrize("name", REAL_MATRIX_CALLS)
+def test_complex_matrix_refused(name):
+    # classify used to drop the imaginary part of the array (answering
+    # hyperbolic) and to die with a TypeError on the list
+    for a in (np.array([[1 + 1j, 0.0], [0.0, -1.0]]), [[1j, 0.0], [0.0, -1.0]]):
+        with pytest.raises(ValueError, match="^matrix entries must be real$"):
+            REAL_MATRIX_CALLS[name](a)

@@ -118,6 +118,10 @@ class TestExpm:
         with pytest.raises(DimensionMismatch):
             flow.expm_many(stack)
 
+    def test_many_complex_rejected(self):
+        with pytest.raises(ValueError, match="^matrix entries must be real$"):
+            flow.expm_many(np.array([[[1j]]]))
+
     def test_many_non_finite_rejected(self):
         stack = np.zeros((3, 2, 2))
         stack[1, 0, 1] = np.nan
@@ -267,6 +271,19 @@ class TestTrajectory:
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="time"):
             flow.flow_map(np.diag([-1.0, 2.0]), t, [1.0, 1.0])
+
+    def test_complex_state_rejected(self):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        with pytest.raises(ValueError, match="^x0 entries must be real$"):
+            flow.flow_map([[1.0]], 1.0, np.array([1j]))
+        with pytest.raises(ValueError, match="^x0 entries must be real$"):
+            flow.trajectory([[0.0]], [1.0 + 0j], [0.0, 1.0])
+
+    def test_complex_grid_rejected(self):
+        with pytest.raises(ValueError, match="^time grid entries must be real$"):
+            flow.trajectory([[0.0]], [1.0], np.array([0, 1 + 1j]))
+        with pytest.raises(ValueError, match="^time grid entries must be real$"):
+            flow.flow_map([[0.0]], 1j, [1.0])
 
     def test_descending_grid_rejected(self):
         with pytest.raises(NonAscendingGrid):

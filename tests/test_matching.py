@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,3 +62,21 @@ def test_pair_values_length_mismatch():
 def test_nonsquare_cost_rejected():
     with pytest.raises(DimensionMismatch):
         matching.min_weight_assignment(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    ("matching.min_weight_assignment([[float('nan')]])", "cost entries"),
+    ("matching.pair_values([1e308], [-1e308])", "cost entries"),
+    ("robustness.continuity_check([[1e308]], [[[-1e308]]])", "matrix entries"),
+], ids=["nan_cost", "overflowing_distance", "overflowing_continuity"])
+def test_non_finite_cost_refused_promptly(call, message):
+    # an inf or nan cost never selects a column, so the Hungarian loop spun
+    # forever; run apart to survive a hang
+    code = ("import warnings; warnings.simplefilter('error'); "
+            "from hypflow import matching, robustness\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{message} must be finite\n"

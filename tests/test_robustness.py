@@ -506,8 +506,10 @@ class TestGenerate:
             robustness.generate(ConjugacyClass(2, 2, 3), 1.0, seed=0)
 
     def test_conditioning_validated(self):
-        with pytest.raises(ValueError):
-            robustness.generate(ConjugacyClass(1, 1, 2), 0.5, seed=0)
+        # nan and inf used to give an all-nan matrix
+        for cond in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                robustness.generate(ConjugacyClass(1, 1, 2), cond, seed=0)
 
 
 class TestOpennessProperty:
