@@ -8,18 +8,22 @@ O(n^3)) is plenty at the matrix sizes this package targets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
 
 _INF = float("inf")
+_MAX = float(np.finfo(float).max)
 
 
 def min_weight_assignment(cost) -> tuple[list[int], float]:
     """Solve the square assignment problem for a cost matrix.
 
     Returns (assignment, total) where assignment[i] is the column matched to
-    row i and total is the summed cost of the matching.
+    row i and total is the summed cost of the matching. Raises ValueError
+    when that total leaves the float range.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -28,6 +32,13 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
     if not np.all(np.isfinite(c)):
         raise ValueError("cost entries must be finite")
     n = c.shape[0]
+    # The potentials and reduced costs stay within (4n + 2) times the
+    # largest |cost|. Near the float maximum they run on the costs divided
+    # by a power of two, which makes the same comparisons without overflow.
+    scale = 1.0
+    if np.abs(c).max(initial=0.0) > _MAX / (4 * n + 2):
+        scale = 2.0 ** (4 * n + 2).bit_length()
+        c = c / scale
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
     p = [0] * (n + 1)
@@ -69,7 +80,9 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
     for j in range(1, n + 1):
         if p[j] > 0:
             assignment[p[j] - 1] = j - 1
-    total = float(sum(c[i][assignment[i]] for i in range(n)))
+    total = float(sum(c[i][assignment[i]] for i in range(n))) * scale
+    if math.isinf(total):
+        raise ValueError("assignment total exceeds the float range")
     return assignment, total
 
 
@@ -85,11 +98,19 @@ def pair_values(a, b) -> tuple[list[int], float]:
         raise DimensionMismatch(
             f"cannot pair {len(av)} values with {len(bv)} values"
         )
-    # an overflowed distance is refused by min_weight_assignment
     with np.errstate(over="ignore", invalid="ignore"):
         cost = np.abs(av[:, None] - bv[None, :])
+    # a distance between finite values overflows only past the float
+    # maximum; pair those values at an exact quarter scale. A non-finite
+    # value is refused by min_weight_assignment.
+    scale = 1.0
+    if np.isinf(cost).any() and np.isfinite(av).all() and np.isfinite(bv).all():
+        scale = 4.0
+        cost = np.abs(av[:, None] / scale - bv[None, :] / scale)
     perm, _ = min_weight_assignment(cost)
-    max_dist = float(max(cost[i][perm[i]] for i in range(len(av))))
+    max_dist = float(max(cost[i][perm[i]] for i in range(len(av)))) * scale
+    if math.isinf(max_dist):
+        raise ValueError("matched distance exceeds the float range")
     return perm, max_dist
 
 

@@ -46,6 +46,25 @@ _MAX_SOLVES = 64
 # Samples per stacked LAPACK call in perturb_campaign; bounds its memory at
 # any sample count.
 _CAMPAIGN_BLOCK = 128
+# Fewest samples in a block whose seeds are hashed together (_streams);
+# below it numpy's own SeedSequence costs less than the stacked hash.
+_HASH_MIN = 16
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# The constants of numpy's SeedSequence (NEP 19 keeps its algorithm
+# stable): the running hash constants of its entropy mixing (A) and of
+# generate_state (B), and the two multipliers of its mix step.
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
 
 
 @dataclass(eq=False)
@@ -208,17 +227,86 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
     raise NonConvergence(f"margin: crossings remained after {_MAX_SOLVES} levels")
 
 
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed s.
+
+    numpy's SeedSequence hashes the seed's 32-bit words, low first, into a
+    pool of four; a seed below 2**64 fills two of them and the rest hash as
+    0. Each hashmix xors the running constant, multiplies by the next one
+    and folds the high half down. Each pool word is then mixed into the
+    other three, and generate_state hashes the pool twice around into eight
+    32-bit words. Here every step runs on all seeds at once. Each row of the
+    result is C-contiguous, so PCG64 can read it as its buffer.
+    """
+    pool = np.zeros((len(seeds), 4), dtype=np.uint32)
+    pool[:, 0] = seeds & 0xFFFFFFFF
+    pool[:, 1] = seeds >> 32
+    pool ^= _HASH_A[:4]
+    pool *= _HASH_A[1:5]
+    pool ^= pool >> 16
+    for src, k in enumerate(range(4, 16, 3)):
+        dst = [j for j in range(4) if j != src]
+        h = pool[:, src, None] ^ _HASH_A[k:k + 3]
+        h *= _HASH_A[k + 1:k + 4]
+        h ^= h >> 16
+        mixed = pool[:, dst] * _MIX_L - h * _MIX_R
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    state = np.tile(pool, 2) ^ _HASH_B[:8]
+    state *= _HASH_B[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words:
+    """Seed source handing PCG64 precomputed ``generate_state`` words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed: int, block: range):
+    """``Generator(PCG64(seed ^ i))`` for each sample i of ``block``, in turn.
+
+    A block of _HASH_MIN samples or more hashes its seeds in one
+    _pcg64_words pass, which gives each PCG64 the state numpy's
+    SeedSequence would. Seeds of 2**64 or more have more than two 32-bit
+    words and keep numpy's path, as do short blocks.
+    """
+    if len(block) < _HASH_MIN or seed >> 64:
+        return (np.random.Generator(np.random.PCG64(seed ^ i)) for i in block)
+    # registered here, not at import, which would load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    seeds = np.arange(block.start, block.stop, dtype=np.uint64) ^ np.uint64(seed)
+    return (np.random.Generator(np.random.PCG64(_Words(w)))
+            for w in _pcg64_words(seeds))
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a Python int, refused unless an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 def perturb_campaign(h, samples: int, radius: float, seed: int,
                      tau: float | None = None) -> CampaignReport:
     """Count inertia flips over seeded random perturbations of norm <= radius.
 
-    Each sample i draws a Gaussian direction from its own PCG64 stream seeded
-    with seed XOR i (so results do not depend on evaluation order), rescaled
-    to operator norm radius * fraction with the fraction uniform in (0, 1].
-    Up to ten flipping perturbations are kept as witnesses. Samples are
-    evaluated in blocks of _CAMPAIGN_BLOCK: one stacked SVD gives the
-    directions' norms and one stacked eigenvalue call the perturbed spectra,
-    with the same per-matrix arithmetic as one call per sample.
+    Each sample i draws a Gaussian direction from its own stream,
+    Generator(PCG64(seed XOR i)), so results do not depend on evaluation
+    order, and rescales it to operator norm radius * fraction with the
+    fraction uniform in (0, 1]. Up to ten flipping perturbations are kept as
+    witnesses. Samples are evaluated in blocks of _CAMPAIGN_BLOCK: the seeds
+    of a block are hashed together into the PCG64 states numpy's
+    SeedSequence would give them (short blocks and seeds >= 2**64 use
+    SeedSequence itself), one stacked SVD gives the directions' norms and
+    one stacked eigenvalue call the perturbed spectra, with the same
+    per-matrix arithmetic as one call per sample.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
@@ -226,12 +314,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
 def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
     """``perturb_campaign`` around the matrix that ``verdict`` classified."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count(samples, "samples", 1)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be finite and > 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    seed = _count(seed, "seed", 0)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"base matrix classified as {verdict.kind}")
     m, base, tau = verdict.matrix, verdict.inertia, verdict.inertia.tau
@@ -242,8 +328,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         block = range(start, min(start + _CAMPAIGN_BLOCK, samples))
         g = np.empty((len(block), d, d))
         frac = np.empty(len(block))
-        for j, i in enumerate(block):
-            rng = np.random.Generator(np.random.PCG64(seed ^ i))
+        for j, rng in enumerate(_streams(seed, block)):
             g[j] = rng.standard_normal((d, d))
             frac[j] = 1.0 - rng.random()
         norm_g = densemat._singular_values(g)[:, 0]

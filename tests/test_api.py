@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,3 +53,16 @@ def test_complex_matrix_refused(name):
     for a in (np.array([[1 + 1j, 0.0], [0.0, -1.0]]), [[1j, 0.0], [0.0, -1.0]]):
         with pytest.raises(ValueError, match="^matrix entries must be real$"):
             REAL_MATRIX_CALLS[name](a)
+
+
+def test_import_leaves_random_and_scipy_unloaded():
+    # hypflow's import time is every command's start-up cost: numpy.random
+    # loads on a first seeded request, and scipy is not a dependency
+    code = ("import sys, hypflow\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy.random' or m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

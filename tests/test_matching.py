@@ -1,7 +1,9 @@
+import ast
 import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -64,19 +66,99 @@ def test_nonsquare_cost_rejected():
         matching.min_weight_assignment(np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("call, message", [
-    ("matching.min_weight_assignment([[float('nan')]])", "cost entries"),
-    ("matching.pair_values([1e308], [-1e308])", "cost entries"),
-    ("robustness.continuity_check([[1e308]], [[[-1e308]]])", "matrix entries"),
-], ids=["nan_cost", "overflowing_distance", "overflowing_continuity"])
-def test_non_finite_cost_refused_promptly(call, message):
-    # an inf or nan cost never selects a column, so the Hungarian loop spun
-    # forever; run apart to survive a hang
+def run_apart(call):
+    """stdout of ``call`` (or of the ValueError it raises) in a fresh
+    interpreter that turns warnings into errors; a hang fails the test."""
     code = ("import warnings; warnings.simplefilter('error'); "
             "from hypflow import matching, robustness\n"
-            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
+            f"try:\n    print({call})\nexcept ValueError as exc:\n"
+            "    print(exc)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{message} must be finite\n"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("call, message", [
+    ("matching.min_weight_assignment([[float('nan')]])",
+     "cost entries must be finite"),
+    ("matching.pair_values([1e308], [-1e308])",
+     "matched distance exceeds the float range"),
+    ("robustness.continuity_check([[1e308]], [[[-1e308]]])",
+     "matrix entries must be finite"),
+], ids=["nan_cost", "overflowing_distance", "overflowing_continuity"])
+def test_non_finite_cost_refused_promptly(call, message):
+    # an inf or nan cost never selects a column, so the Hungarian loop spun
+    # forever; run apart to survive a hang. The distance 2e308 used to be
+    # refused as a cost entry, which the caller never gave.
+    assert run_apart(call) == message + "\n"
+
+
+def scaled_brute_force(cost):
+    """Least total of a cost matrix near the float maximum (n <= 5), summed
+    at an exact eighth and scaled back (inf when it leaves the range)."""
+    return float(brute_force_min_cost(np.asarray(cost) / 8.0)) * 8.0
+
+
+NEAR_MAX = [
+    [[5e307, -1.797e308], [5e307, 1.797e308]],
+    [[1.797e308, 1.7e308], [5e307, -1.7e308]],
+    [[-1.7e308, 5e307], [5e307, 1.7e308]],
+    [[1e308, -1e308], [1.797e308, -1.797e308]],
+    [[5e307, -1e308, -1.797e308], [1e308, -1.7e308, 5e307],
+     [1.797e308, -1.7e308, -1e308]],
+    [[-1.797e308, -1e308, -1.7e308, 1e308],
+     [0.0, 1.797e308, -1.797e308, 1.797e308],
+     [1e308, 1e308, -1.7e308, 1.797e308],
+     [-1.797e308, -1.7e308, -1e308, 5e307]],
+    [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+]
+
+
+@pytest.mark.parametrize("cost", NEAR_MAX, ids=range(len(NEAR_MAX)))
+def test_near_max_costs_assign_optimally(cost):
+    # the potentials overflowed: warnings escaped on each, the loop hung on
+    # the fourth and fifth, the sixth came out non-optimal and the seventh
+    # gave the total inf. The last three totals leave the float range.
+    out = run_apart(f"matching.min_weight_assignment({cost!r})")
+    best = scaled_brute_force(cost)
+    if np.isinf(best):
+        assert out == "assignment total exceeds the float range\n"
+        return
+    assignment, total = ast.literal_eval(out)
+    assert sorted(assignment) == list(range(len(cost)))
+    assert total == best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5))
+def test_near_max_assignment_matches_brute_force(seed, n):
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(-1.0, 1.0, size=(n, n)) * np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = scaled_brute_force(cost)
+        if np.isinf(best):
+            with pytest.raises(ValueError, match="total exceeds"):
+                matching.min_weight_assignment(cost)
+            return
+        _, total = matching.min_weight_assignment(cost)
+    assert total == best
+
+
+def test_pair_values_near_max():
+    # the cross distances 2e308 overflowed and were refused as costs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perm, dist = matching.pair_values([1e308, -1e308], [-1e308, 1e308])
+        assert (perm, dist) == ([1, 0], 0.0)
+        near = np.nextafter(1e308, 0.0)
+        perm, dist = matching.pair_values([1e308, -1e308], [-1e308, near])
+        assert (perm, dist) == ([1, 0], 1e308 - near)
+        a = [1e308 + 1e308j, -1e308]
+        b = [-1e308 + 1e307j, 1e308 + 9e307j]
+        perm, dist = matching.pair_values(a, b)
+    assert perm == [1, 0]
+    assert dist == pytest.approx(max(abs(a[0] - b[1]), abs(a[1] - b[0])),
+                                 rel=1e-15)

@@ -304,6 +304,28 @@ class TestPerturbCampaign:
             robustness.perturb_campaign(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                         samples=5, radius=0.1, seed=1)
 
+    @pytest.mark.parametrize("samples, seed, message", [
+        (2.5, 1, "samples must be an integer >= 1"),
+        (np.float64(3.0), 1, "samples must be an integer >= 1"),
+        ("5", 1, "samples must be an integer >= 1"),
+        (0, 1, "samples must be an integer >= 1"),
+        (5, 1.5, "seed must be an integer >= 0"),
+        (5, np.float64(2.0), "seed must be an integer >= 0"),
+        (5, -1, "seed must be an integer >= 0"),
+    ])
+    def test_non_integer_counts_refused(self, samples, seed, message):
+        # 2.5 and 1.5 died with bare TypeErrors from range and ^
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            robustness.perturb_campaign(np.diag([-1.0, 2.0]), samples, 0.1,
+                                        seed)
+
+    def test_numpy_integers_reported_as_python_ints(self):
+        # a np.uint64 seed was kept as np.uint64
+        report = robustness.perturb_campaign(np.diag([-1.0, 2.0]),
+                                             np.int64(20), 0.5, np.uint64(9))
+        assert type(report.samples) is int and type(report.seed) is int
+        assert (report.samples, report.seed) == (20, 9)
+
 
 def witness_bytes(witnesses):
     return [(int(i), e.tobytes()) for i, e in witnesses]
@@ -381,6 +403,43 @@ class TestStackedCampaign:
             robustness.perturb_campaign(np.diag([-1.0, 2.0]), 5, 0.1, seed=1)
 
 
+class TestCampaignSeeding:
+    SEEDS = [0, 1, 7, 2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3,
+             2 ** 63 - 5, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 129,
+             2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 200]
+
+    @pytest.mark.parametrize("samples", [1, 15, 16, 17, 127, 128, 129, 391])
+    def test_streams_are_numpy_pcg64_seeded_with_seed_xor_i(self, samples):
+        for seed in self.SEEDS:
+            for start in range(0, samples, BLOCK):
+                block = range(start, min(start + BLOCK, samples))
+                rngs = list(robustness._streams(seed, block))
+                assert len(rngs) == len(block)
+                hashed = (len(block) >= robustness._HASH_MIN
+                          and seed < 2 ** 64)
+                for i, rng in zip(block, rngs):
+                    assert isinstance(rng.bit_generator.seed_seq,
+                                      robustness._Words) == hashed
+                    assert (rng.bit_generator.state
+                            == np.random.PCG64(seed ^ i).state), (seed, i)
+
+    def test_hash_matches_seed_sequence(self):
+        rng = np.random.default_rng(5)
+        seeds = np.concatenate([
+            rng.integers(0, 2 ** 32, 2000, dtype=np.uint64),
+            rng.integers(0, 2 ** 64 - 1, 3000, dtype=np.uint64, endpoint=True),
+            np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1],
+                     dtype=np.uint64)])
+        words = robustness._pcg64_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for s, row in zip(seeds.tolist(), words):
+            # PCG64 reads generate_state's buffer raw: a strided row would
+            # seed another stream
+            assert row.flags.c_contiguous
+            np.testing.assert_array_equal(
+                row, np.random.SeedSequence(s).generate_state(4, np.uint64))
+
+
 def continuity_by_loop(h, seq):
     """continuity_check's report, one eigenvalue and one norm call per matrix."""
     eig_h = spectral.eigenvalues(h).values
@@ -406,6 +465,15 @@ class TestContinuity:
         report = robustness.continuity_check(h, seq)
         for n, dist in enumerate(report.max_mismatch, start=1):
             assert dist == pytest.approx(1.0 / n, abs=1e-12)
+        assert report.monotone_tail
+
+    def test_near_max_eigenvalues_paired(self):
+        # the cross distance 2e308 overflowed, and the pairing was refused
+        # with "cost entries must be finite"
+        h = np.diag([1e308, -1e308])
+        report = robustness.continuity_check(h, [h, 0.5 * h])
+        assert report.max_mismatch == [0.0, 0.5e308]
+        assert report.pairings == [[0, 1], [0, 1]]
         assert report.monotone_tail
 
     def test_constant_sequence(self):
