@@ -15,6 +15,7 @@ Hyperbolic when rounding could have flipped a sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,9 @@ class Verdict:
     ``witness`` is an on-axis eigenvalue for non-hyperbolic verdicts (the one
     with smallest |Re|, ties broken by |Im| then lexicographically), None
     otherwise. The spectrum, the validated ``matrix`` and its 2-norm ``norm``
-    (taken for the default tau, else on first use) go with the verdict to
-    the functions it is passed on to, so a request analyses its matrix once.
+    (taken for the default tau, else by ``margin``'s first SVD or on first
+    use) go with the verdict to the functions it is passed on to, so a
+    request analyses its matrix once.
     """
 
     kind: str
@@ -79,13 +81,26 @@ class Verdict:
         return self._norm
 
 
-def _tolerance(norm: float) -> float:
-    return 1e-9 * (1.0 + norm)
+def _tolerance(a, norm: float) -> float:
+    """1e-9 * (1 + norm) for the finite matrix ``a`` of 2-norm ``norm``.
+
+    Where the norm passes the float range, the same value is formed as
+    2**e * 1e-9 * (2**-e + ||2**-e A||_2), with A scaled by an exact power
+    of two to entries below 1 (as ``spectral.eigenvalues`` scales its
+    residual bound), so that every finite matrix gets a finite tau.
+    """
+    if norm < math.inf:
+        return 1e-9 * (1.0 + norm)
+    m = np.asarray(a, dtype=float)
+    e = math.frexp(float(np.abs(m).max()))[1]
+    scaled = densemat.op_norm2(np.ldexp(m, -e))
+    return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
 
 
 def default_tolerance(a) -> float:
-    """Relative axis tolerance 1e-9 * (1 + ||A||_2)."""
-    return _tolerance(densemat.op_norm2(a))
+    """Relative axis tolerance 1e-9 * (1 + ||A||_2), finite for every
+    finite A."""
+    return _tolerance(a, densemat.op_norm2(a))
 
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
@@ -115,7 +130,7 @@ def classify(a, tau: float | None = None) -> Verdict:
     norm = None
     if tau is None:
         norm = densemat.op_norm2(m)
-        tau = _tolerance(norm)
+        tau = _tolerance(m, norm)
     spec = spectral.eigenvalues(m)
     inr = inertia_of(spec, tau)
     kind, witness = INDETERMINATE, None

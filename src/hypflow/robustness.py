@@ -188,19 +188,29 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
     if not verdict.is_hyperbolic:
         return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0,
                             solves=0)
-    m, norm = verdict.matrix, verdict.norm
+    m = verdict.matrix
     d = m.shape[0]
     eye = np.eye(d)
 
-    def g(omegas):
-        return spectral.sigma_min_many(
-            m - 1j * np.array(omegas)[:, None, None] * eye).tolist()
+    def shifted(omegas):
+        return m - 1j * np.array(omegas)[:, None, None] * eye
 
-    floor = 4 * d * _EPS * norm
-    axis_rel = math.sqrt(2 * d * _EPS)
+    def g(omegas):
+        return spectral.sigma_min_many(shifted(omegas)).tolist()
+
     omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
     evals = len(omegas)
-    gamma, omega_star = min(zip(g(omegas), omegas))
+    if verdict._norm is None:
+        # omegas[0] is 0, so the stack's first matrix is A itself, and its
+        # largest singular value is op_norm2(A) bit for bit
+        sv = densemat._singular_values(shifted(omegas))
+        verdict._norm, first = float(sv[0, 0]), sv[:, -1].tolist()
+    else:
+        first = g(omegas)
+    gamma, omega_star = min(zip(first, omegas))
+    norm = verdict.norm
+    floor = 4 * d * _EPS * norm
+    axis_rel = math.sqrt(2 * d * _EPS)
     ham = np.zeros((2 * d, 2 * d))
     ham[:d, :d] = m
     ham[d:, d:] = -m.T
@@ -306,7 +316,8 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     SeedSequence would give them (short blocks and seeds >= 2**64 use
     SeedSequence itself), one stacked SVD gives the directions' norms and
     one stacked eigenvalue call the perturbed spectra, with the same
-    per-matrix arithmetic as one call per sample.
+    per-matrix arithmetic as one call per sample. A perturbed matrix
+    A + E that passes the float range raises ValueError.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
@@ -334,7 +345,12 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         norm_g = densemat._singular_values(g)[:, 0]
         drawn = np.flatnonzero(norm_g)
         e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
-        re = spectral.eigenvalues_many(m + e).real
+        with np.errstate(over="ignore"):
+            perturbed = m + e
+        if not np.isfinite(perturbed).all():
+            raise ValueError("perturbed matrix entries must be finite: "
+                             "A + E passes the float range")
+        re = spectral.eigenvalues_many(perturbed).real
         flipped = np.flatnonzero(((re < -tau).sum(axis=1) != base.s)
                                  | ((re > tau).sum(axis=1) != base.u))
         flips += flipped.size
@@ -398,22 +414,21 @@ def vieta_check(a) -> float:
     return float(abs(prod - d) / (1.0 + abs(d)))
 
 
-def _random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random orthogonal matrix: double Gram-Schmidt of a Gaussian draw."""
-    g = rng.standard_normal((d, d))
-    q = np.zeros((d, d))
-    for j in range(d):
-        v = g[:, j].copy()
-        for _ in range(2):
-            for k in range(j):
-                v -= (q[:, k] @ v) * q[:, k]
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
-            v = np.zeros(d)
-            v[j] = 1.0
-            nrm = 1.0
-        q[:, j] = v / nrm
-    return q
+def _random_orthogonal(rng: np.random.Generator, count: int,
+                       d: int) -> np.ndarray:
+    """``count`` random orthogonal (d, d) matrices, as a (count, d, d) stack.
+
+    Each is the Q factor of a Householder QR (LAPACK, one stacked call) of
+    a Gaussian draw, with every column multiplied by the sign of R's
+    diagonal entry so that R's diagonal is positive (Mezzadri 2007, *How to
+    generate random matrices from the classical compact groups*). That Q is
+    the one Gram-Schmidt orthogonalization of the draw gives, and it is Haar
+    distributed. A zero on the diagonal, from a rank-deficient draw, takes
+    the sign +1, so Q stays orthogonal. The draw consumes the stream as
+    ``count`` successive (d, d) draws would.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, d, d)))
+    return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None]
 
 
 def generate(cls: ConjugacyClass, conditioning: float = 1.0,
@@ -422,8 +437,11 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
 
     Builds a block-diagonal core with stable real parts in [-2, -0.1] and
     unstable ones in [0.1, 2] (complex pairs become 2x2 rotation-scaling
-    blocks), then conjugates by a similarity with the exact requested
-    condition number.
+    blocks), then conjugates by T = Q1 diag(sigma) Q2^T with sigma
+    geometric from 1 to ``conditioning``, so that T has exactly the
+    requested condition number. Q1 and Q2 are Haar-random orthogonal
+    matrices, the sign-fixed Q factors of one stacked QR of Gaussian draws
+    (Mezzadri 2007; see ``_random_orthogonal``).
     """
     if cls.s < 0 or cls.u < 0 or cls.s + cls.u != cls.d or cls.d < 1:
         raise InvalidClass(f"inconsistent class (s={cls.s}, u={cls.u}, d={cls.d})")
@@ -446,8 +464,7 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
         k = b.shape[0]
         core[at:at + k, at:at + k] = b
         at += k
-    q1 = _random_orthogonal(rng, d)
-    q2 = _random_orthogonal(rng, d)
+    q1, q2 = _random_orthogonal(rng, 2, d)
     if d == 1:
         sig = np.array([1.0])
     else:

@@ -5,8 +5,9 @@ import nothing from hypflow: singular values come from numpy's SVD, distances
 to the non-hyperbolic set from a dense SVD grid with golden-section refinement
 and from a bisection on a doubled Hamiltonian-structured matrix whose
 eigenvalues come from numpy, perturbation campaigns are recounted one sample
-at a time, the matrix exponential is evaluated one matrix at a time, and
-small closed forms are spelled out directly.
+at a time, the matrix exponential is evaluated one matrix at a time, random
+orthogonal matrices come from Gram-Schmidt, and small closed forms are
+spelled out directly.
 """
 
 from __future__ import annotations
@@ -131,6 +132,29 @@ def campaign_recount(h, samples: int, radius: float, seed: int, tau: float):
             if len(witnesses) < 10:
                 witnesses.append((i, e))
     return flips, witnesses
+
+
+def gram_schmidt_orthogonal(rng, count: int, d: int) -> np.ndarray:
+    """``count`` random orthogonal (d, d) matrices as a (count, d, d) stack:
+    double classical Gram-Schmidt, column by column, of successive (d, d)
+    Gaussian draws from ``rng``. In exact arithmetic each is the Q factor of
+    its draw with R's diagonal positive; a column that vanishes below 1e-12
+    is replaced by the unit vector e_j."""
+    out = np.zeros((count, d, d))
+    for q in out:
+        g = rng.standard_normal((d, d))
+        for j in range(d):
+            v = g[:, j].copy()
+            for _ in range(2):
+                for k in range(j):
+                    v -= (q[:, k] @ v) * q[:, k]
+            nrm = float(np.linalg.norm(v))
+            if nrm < 1e-12:
+                v = np.zeros(d)
+                v[j] = 1.0
+                nrm = 1.0
+            q[:, j] = v / nrm
+    return out
 
 
 def quadratic_roots(b: float, c: float):

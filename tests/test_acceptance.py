@@ -45,7 +45,7 @@ def random_normal_matrix(rng, d):
         k = b.shape[0]
         core[at:at + k, at:at + k] = b
         at += k
-    q = robustness._random_orthogonal(rng, d)
+    q = robustness._random_orthogonal(rng, 1, d)[0]
     return q @ core @ q.T, min(abs(v) for v in vals)
 
 

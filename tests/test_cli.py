@@ -104,6 +104,16 @@ class TestClassify:
         assert report["verdict"] == "hyperbolic"
         assert (report["s"], report["u"]) == (2, 0)
 
+    def test_norm_beyond_float_range_exit_0(self, capsys, tmp_path):
+        # ||A||_2 overflows; the default tau must not
+        path = write_fixture(tmp_path, "edge.json",
+                             [[1e308, 1.7e308], [0.0, 1e308]])
+        code, out, err = run(capsys, "classify", path)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["verdict"] == "hyperbolic"
+        assert (report["s"], report["u"]) == (0, 2)
+
     def test_malformed_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d": 2, "data": [[1, 2, 3], [4, 5]]}')
@@ -164,6 +174,15 @@ class TestPerturb:
         assert code == 2
         assert report["flips"] > 0
         assert len(report["flip_witnesses"]) == min(report["flips"], 10)
+
+    def test_default_radius_near_float_max_exit_1(self, capsys, tmp_path):
+        # 0.9 * lower = 3.1e307 added to 1.7e308 passes the float range
+        path = write_fixture(tmp_path, "edge.json",
+                             [[1e308, 1.7e308], [0.0, 1e308]])
+        code, out, err = run(capsys, "perturb", path, "--samples", "50")
+        assert (code, out) == (1, "")
+        assert err == ("error: perturbed matrix entries must be finite: "
+                       "A + E passes the float range\n")
 
     def test_zero_samples_usage_error(self, capsys, saddle):
         code, _, err = run(capsys, "perturb", saddle, "--samples", "0")
@@ -399,12 +418,14 @@ def analyses(monkeypatch):
 
 
 class TestOneAnalysisPerRequest:
-    # a request given --tol needs ||A||_2 only for margin's rounding floor
+    # a request given --tol needs ||A||_2 only for margin's rounding floor,
+    # and takes it from the first matrix of margin's first stacked SVD,
+    # which is A itself
     @pytest.mark.parametrize("argv, svds", [
-        (("margin",), 1), (("margin", "--tol", "1e-6"), 1),
+        (("margin",), 1), (("margin", "--tol", "1e-6"), 0),
         (("perturb", "--samples", "20"), 1),
         (("perturb", "--samples", "20", "--radius", "0.1"), 1),
-        (("perturb", "--samples", "20", "--tol", "1e-6"), 1),
+        (("perturb", "--samples", "20", "--tol", "1e-6"), 0),
         (("perturb", "--samples", "20", "--radius", "0.1", "--tol", "1e-6"),
          0),
         (("portrait",), 1), (("portrait", "--tol", "1e-6"), 0)],

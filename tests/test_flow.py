@@ -417,13 +417,19 @@ class TestSplitting:
             flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
 
     def test_wrong_split_refused(self):
-        # Newton steps can settle on a (1, 2) split of this (2, 1) matrix
-        h = robustness.generate(ConjugacyClass(2, 1, 3), 1e8, 219)
-        try:
-            sp = flow.splitting(h)
-        except NonConvergence:
-            return
-        assert_splits(h, sp, 2)
+        # Newton steps settle on a (1, 2) split of this (2, 1) matrix. It is
+        # generate(ConjugacyClass(2, 1, 3), 1e8, 219) as the Gram-Schmidt
+        # similarity built it; the QR one moves it by rounding, enough to
+        # make a sign step singular instead.
+        h = np.array([[float.fromhex(x) for x in row] for row in (
+            ("-0x1.d267a5bd105adp+25", "0x1.1464474a99655p+25",
+             "-0x1.03a6187257a36p+26"),
+            ("-0x1.b315aa5da78d5p+22", "0x1.01d4cbc43b616p+22",
+             "-0x1.e46cee68866bbp+22"),
+            ("0x1.85f4071e28d89p+25", "-0x1.ce2c42cd5c836p+24",
+             "0x1.b22d0c1af2694p+25"))])
+        with pytest.raises(NonConvergence, match="wrong split"):
+            flow.splitting(h)
 
     @pytest.mark.parametrize("h", [
         [[-1.0, 0.0], [0.0, 2.0]], [[-1.0, 3.0], [0.0, 2.0]],

@@ -94,6 +94,17 @@ class TestClassify:
         assert v.kind == inertia.HYPERBOLIC
         assert (v.inertia.s, v.inertia.u) == (2, 0)
 
+    def test_norm_beyond_float_range_has_finite_default_tau(self):
+        # ||A||_2 overflows although every entry and eigenvalue is finite;
+        # the default tau came out inf, and classify refused it
+        a = np.array([[1e308, 1.7e308], [0.0, 1e308]])
+        v = inertia.classify(a)
+        assert v.kind == inertia.HYPERBOLIC
+        assert (v.inertia.s, v.inertia.u) == (0, 2)
+        assert v.inertia.tau == pytest.approx(
+            2e-9 * densemat.op_norm2(a / 2), rel=1e-12)
+        assert inertia.default_tolerance(a) == v.inertia.tau
+
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_bad_tau_rejected(self, tau):
         # nan used to reach the witness search and die with an IndexError
@@ -180,3 +191,11 @@ def test_default_tolerance_scales_with_norm():
     large = inertia.default_tolerance(100.0 * np.eye(2))
     assert small == pytest.approx(2e-9)
     assert large == pytest.approx(101e-9)
+
+
+def test_default_tolerance_formula_unscaled_in_range(rng):
+    # only an overflowing norm takes the scaled route
+    for k in (-300, -20, 0, 20, 300):
+        a = 10.0 ** k * rng.standard_normal((4, 4))
+        norm = densemat.op_norm2(a)
+        assert inertia.default_tolerance(a) == 1e-9 * (1.0 + norm)

@@ -11,9 +11,11 @@ from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
 from hypflow.inertia import ConjugacyClass
 
 from oracles import (byers_distance, campaign_recount, grid_distance_oracle,
-                     refined_grid_distance, svd_sigma_min)
+                     gram_schmidt_orthogonal, refined_grid_distance,
+                     svd_sigma_min)
 
 BLOCK = robustness._CAMPAIGN_BLOCK
+EPS = float(np.finfo(float).eps)
 
 
 def shear(k):
@@ -248,6 +250,24 @@ class TestMargin:
         with pytest.raises(NonConvergence):
             robustness.margin(np.diag([-0.01, 2.0]))
 
+    def test_norm_from_first_svd_is_op_norm2(self, rng):
+        # given tau, classify takes no norm, and margin reads ||A||_2 off
+        # its first stacked SVD, whose first matrix is A itself: that must
+        # be op_norm2's value bit for bit, and so the bracket must be too
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            v = inertia.classify(a, 0.0)
+            assert v._norm is None
+            m = robustness._margin(v, 1e-6)
+            assert v._norm == densemat.op_norm2(a)
+            w = inertia.classify(a, 0.0)
+            assert w.norm == v._norm
+            ref = robustness._margin(w, 1e-6)
+            assert ((m.lower, m.upper, m.omega_star, m.iterations, m.solves)
+                    == (ref.lower, ref.upper, ref.omega_star, ref.iterations,
+                        ref.solves))
+
 
 class TestPerturbCampaign:
     def test_no_flips_below_margin(self):
@@ -318,6 +338,14 @@ class TestPerturbCampaign:
         with pytest.raises(ValueError, match=f"^{message}$"):
             robustness.perturb_campaign(np.diag([-1.0, 2.0]), samples, 0.1,
                                         seed)
+
+    def test_sum_beyond_float_range_refused(self):
+        # A + E passes the float range in the (1, 1) entry for some samples;
+        # the sum warned with "overflow encountered in add", and the refusal
+        # named the matrix entries, which are finite
+        h = np.diag([-1e306, 1.79e308])
+        with pytest.raises(ValueError, match="A \\+ E passes the float range"):
+            robustness.perturb_campaign(h, 300, 2e306, 5, 1e298)
 
     def test_numpy_integers_reported_as_python_ints(self):
         # a np.uint64 seed was kept as np.uint64
@@ -578,6 +606,69 @@ class TestGenerate:
         for cond in (0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and >= 1"):
                 robustness.generate(ConjugacyClass(1, 1, 2), cond, seed=0)
+
+    def test_matches_gram_schmidt_oracle(self, monkeypatch):
+        # Gram-Schmidt and the sign-fixed QR give the same Q in exact
+        # arithmetic, from the same two draws. Both are backward stable, so
+        # each computed Q is within a small multiple of d*eps of it for
+        # these well-conditioned Gaussian draws. T = Q1 diag(sigma) Q2^T has
+        # ||T||*||T^-1|| = cond, so T core T^-1 carries that difference
+        # magnified by up to cond: the two matrices agree to d*eps*cond
+        # relative to their largest entry. These seeds reach 1.13 times
+        # that (3000 other draws 1.5); 8 times leaves room for other BLAS
+        # builds.
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(1000):
+            d = int(rng.integers(1, 9))
+            s = int(rng.integers(0, d + 1))
+            cases.append((ConjugacyClass(s, d - s, d),
+                          float(10.0 ** rng.uniform(0.0, 8.0)),
+                          int(rng.integers(0, 2 ** 31))))
+        got = [robustness.generate(*case) for case in cases]
+        monkeypatch.setattr(robustness, "_random_orthogonal",
+                            gram_schmidt_orthogonal)
+        worst = 0.0
+        for (cls, cond, seed), a in zip(cases, got):
+            ref = robustness.generate(cls, cond, seed)
+            err = np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+            worst = max(worst, err / (cls.d * EPS * cond))
+        assert worst <= 8.0
+
+    def test_similarity_is_orthogonal(self):
+        rng = np.random.default_rng(12)
+        for d in range(1, 9):
+            qs = robustness._random_orthogonal(rng, 200, d)
+            gram = np.swapaxes(qs, 1, 2) @ qs
+            assert np.max(np.abs(gram - np.eye(d))) <= 4 * d * EPS
+
+    @pytest.mark.parametrize("draw", [
+        np.zeros((2, 3, 3)),
+        np.array([[[0.0, 1.0, 1.0], [0.0, 2.0, 2.0], [0.0, 0.0, 1.0]]] * 2)],
+        ids=["zero", "rank-deficient"])
+    def test_rank_deficient_draw_stays_orthogonal(self, draw):
+        # R has an exact 0 on its diagonal, which must not zero Q's column
+        class Stub:
+            def standard_normal(self, shape):
+                assert shape == draw.shape
+                return draw.copy()
+
+        qs = robustness._random_orthogonal(Stub(), 2, 3)
+        gram = np.swapaxes(qs, 1, 2) @ qs
+        assert np.max(np.abs(gram - np.eye(3))) <= 4 * 3 * EPS
+
+    def test_one_stacked_qr(self, monkeypatch):
+        # one LAPACK call for both orthogonal factors, no per-column loop
+        shapes = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        robustness.generate(ConjugacyClass(3, 2, 5), 10.0, seed=4)
+        assert shapes == [(2, 5, 5)]
 
 
 class TestOpennessProperty:
