@@ -73,13 +73,6 @@ def read_matrix(path: str) -> np.ndarray:
     return out
 
 
-def write_matrix(path: str, m: np.ndarray) -> None:
-    """Write a matrix in the JSON schema understood by read_matrix."""
-    doc = {"d": int(m.shape[0]), "data": [[float(v) for v in row] for row in m]}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _emit(report: dict, stream) -> None:
     stream.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -99,6 +92,16 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
         raise MatrixFileError(f"{flag} must be a comma-separated number list") from exc
 
 
+def _exit_code(verdict) -> int:
+    """0 for a hyperbolic verdict, 2 for a non-hyperbolic one, 3 for an
+    indeterminate one."""
+    if verdict.kind == inertia.HYPERBOLIC:
+        return EXIT_OK
+    if verdict.kind == inertia.NON_HYPERBOLIC:
+        return EXIT_NON_HYPERBOLIC
+    return EXIT_INDETERMINATE
+
+
 def _cmd_classify(args, stdout) -> int:
     m = read_matrix(args.matrix)
     verdict = inertia.classify(m, args.tol)
@@ -113,11 +116,7 @@ def _cmd_classify(args, stdout) -> int:
                     else [verdict.witness.real, verdict.witness.imag]),
     }
     _emit(report, stdout)
-    if verdict.kind == inertia.HYPERBOLIC:
-        return EXIT_OK
-    if verdict.kind == inertia.NON_HYPERBOLIC:
-        return EXIT_NON_HYPERBOLIC
-    return EXIT_INDETERMINATE
+    return _exit_code(verdict)
 
 
 def _cmd_margin(args, stdout) -> int:
@@ -130,7 +129,7 @@ def _cmd_margin(args, stdout) -> int:
         "iterations": result.iterations,
     }
     _emit(report, stdout)
-    return EXIT_OK if verdict.is_hyperbolic else EXIT_NON_HYPERBOLIC
+    return _exit_code(verdict)
 
 
 def _cmd_perturb(args, stdout) -> int:
@@ -149,7 +148,7 @@ def _cmd_perturb(args, stdout) -> int:
     if not verdict.is_hyperbolic:
         print(f"error: base matrix classified as {verdict.kind}",
               file=sys.stderr)
-        return EXIT_NON_HYPERBOLIC
+        return _exit_code(verdict)
     report = robustness._campaign(verdict, args.samples, radius, args.seed)
     doc = {
         "base_inertia": dataclasses.asdict(report.base_inertia),
@@ -198,18 +197,11 @@ def _cmd_portrait(args, stdout) -> int:
 
 
 def _cmd_verify(args, stdout) -> int:
-    runner = robustness.SUITES.get(args.suite)
-    if runner is None:
-        known = ", ".join(sorted(robustness.SUITES))
-        raise MatrixFileError(f"unknown suite '{args.suite}' (known: {known})")
     if args.samples is not None and args.samples < 1:
         raise MatrixFileError("--samples must be >= 1")
     if args.seed < 0:
         raise MatrixFileError("--seed must be >= 0")
-    kwargs = {"seed": args.seed}
-    if args.samples is not None:
-        kwargs["trials"] = args.samples
-    result = runner(**kwargs)
+    result = robustness.run_suite(args.suite, args.seed, args.samples)
     report = {
         "suite": result.name,
         "seed": args.seed,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densemat
+from . import densemat, spectral
 from .errors import (DimensionMismatch, FlowOverflow, NonAscendingGrid,
                      NonConvergence, NotHyperbolic, UnsupportedDimension)
 from .inertia import Verdict, classify
@@ -218,7 +218,7 @@ def _split(verdict: Verdict) -> SplittingBases:
     r = q.T @ a @ q
     r[:s, s:] = r[s:, :s] = 0.0
     r[s:, s:] *= -1.0
-    if np.linalg.eigvals(r).real.max() >= -math.ldexp(inr.tau, -e):
+    if spectral.eigenvalues_many(r).real.max() >= -math.ldexp(inr.tau, -e):
         raise NonConvergence("sign iteration settled on a wrong split")
     return SplittingBases(stable=q[:, :s], unstable=q[:, s:])
 

@@ -19,15 +19,15 @@ small perturbation. This module makes that statement executable four ways:
 * ``continuity_check`` matches eigenvalue multisets along a convergent matrix
   sequence through minimum-weight pairings and reports how the mismatch decays.
 
-``generate`` builds seeded test matrices in a requested (s, u) class, and the
-``*_suite`` runners bundle the headline properties for the command-line
-``verify`` entry point.
+``generate`` builds seeded test matrices in a requested (s, u) class, and
+``run_suite`` runs the headline properties as seeded suites for the
+command-line ``verify`` entry point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,6 +175,8 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
     (d*eps*||A - i*omega*I|| with omega <= ||A||), keeps rounding from
     passing for a crossing. Below that rounding floor, which no double
     precision method resolves, lower is 3/4 of upper and not certified.
+    Where ||A|| passes the float range, the bracket is that of 2**-e A, with
+    entries below 1, scaled back by 2**e (the distance scales with A).
     Raises NonConvergence when a crossing remains after _MAX_SOLVES levels.
     Non-hyperbolic (or indeterminate) input returns the all-zero result.
     """
@@ -209,6 +211,18 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
         first = g(omegas)
     gamma, omega_star = min(zip(first, omegas))
     norm = verdict.norm
+    if norm == math.inf:
+        # the rounding floor would be inf too. The distance scales with A,
+        # so bracket 2**-e A, whose entries are below 1, and scale back.
+        e = math.frexp(float(np.abs(m).max()))[1]
+        spectrum = replace(verdict.spectrum,
+                           values=verdict.spectrum.values * math.ldexp(1.0, -e))
+        r = _margin(replace(verdict, matrix=np.ldexp(m, -e), spectrum=spectrum,
+                            _norm=None), tol)
+        return MarginResult(lower=math.ldexp(r.lower, e),
+                            upper=math.ldexp(r.upper, e),
+                            omega_star=math.ldexp(r.omega_star, e),
+                            iterations=evals + r.iterations, solves=r.solves)
     floor = 4 * d * _EPS * norm
     axis_rel = math.sqrt(2 * d * _EPS)
     ham = np.zeros((2 * d, 2 * d))
@@ -384,10 +398,10 @@ def continuity_check(h, sequence) -> ContinuityReport:
     # would turn it into NaN singular values, silently
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
-    eig_h = spectral.eigenvalues(m).values
+    *eigs, eig_h = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
     pairings = []
     mismatches = []
-    for eig_n in spectral.eigenvalues_many(stack):
+    for eig_n in eigs:
         perm, max_d = matching.pair_values(eig_n, eig_h)
         pairings.append(perm)
         mismatches.append(max_d)
@@ -448,27 +462,21 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     if not 1.0 <= conditioning < math.inf:
         raise ValueError("conditioning must be finite and >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    blocks = []
+    d = cls.d
+    core = np.zeros((d, d))
+    at = 0
     for count, sign in ((cls.s, -1.0), (cls.u, 1.0)):
         pairs = int(rng.integers(0, count // 2 + 1))
         for _ in range(pairs):
             re = sign * rng.uniform(0.1, 2.0)
             im = rng.uniform(0.1, 2.0)
-            blocks.append(np.array([[re, im], [-im, re]]))
+            core[at:at + 2, at:at + 2] = [[re, im], [-im, re]]
+            at += 2
         for _ in range(count - 2 * pairs):
-            blocks.append(np.array([[sign * rng.uniform(0.1, 2.0)]]))
-    d = cls.d
-    core = np.zeros((d, d))
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        core[at:at + k, at:at + k] = b
-        at += k
+            core[at, at] = sign * rng.uniform(0.1, 2.0)
+            at += 1
     q1, q2 = _random_orthogonal(rng, 2, d)
-    if d == 1:
-        sig = np.array([1.0])
-    else:
-        sig = conditioning ** np.linspace(0.0, 1.0, d)
+    sig = conditioning ** np.linspace(0.0, 1.0, d)
     t = (q1 * sig) @ q2.T
     t_inv = (q2 / sig) @ q1.T
     return t @ core @ t_inv
@@ -489,100 +497,94 @@ def _subseed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2 ** 31))
 
 
-def openness_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
+def _openness_trial(rng: np.random.Generator, i: int):
     """Inertia must never flip under a perturbation smaller than the margin."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    failed = 0
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(2, 7))
-        s = int(rng.integers(0, d + 1))
-        cond = float(rng.uniform(1.0, 100.0))
-        verdict = classify(generate(ConjugacyClass(s=s, u=d - s, d=d), cond,
-                                    _subseed(rng)))
-        mr = _margin(verdict, tol=0.05)
-        if mr.lower <= 0.0:
-            failed += 1
-            continue
-        report = _campaign(verdict, samples=1, radius=0.9 * mr.lower,
-                           seed=_subseed(rng))
-        if report.flips:
-            failed += 1
-        worst = max(worst, float(report.flips))
-    return SuiteResult("openness", trials, trials - failed, failed, worst)
+    d = int(rng.integers(2, 7))
+    s = int(rng.integers(0, d + 1))
+    cond = float(rng.uniform(1.0, 100.0))
+    verdict = classify(generate(ConjugacyClass(s=s, u=d - s, d=d), cond,
+                                _subseed(rng)))
+    mr = _margin(verdict, tol=0.05)
+    if mr.lower <= 0.0:
+        return False, None
+    report = _campaign(verdict, samples=1, radius=0.9 * mr.lower,
+                       seed=_subseed(rng))
+    return report.flips == 0, float(report.flips)
 
 
-def density_suite(seed: int = 1, trials: int = 500) -> SuiteResult:
+def _density_trial(rng: np.random.Generator, i: int):
     """hyperbolize must succeed with eps <= bound for bounds down to 1e-6."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    failed = 0
-    worst = 0.0
-    for trial in range(trials):
-        kind = trial % 4
-        if kind == 0:
-            a = rotation * rng.uniform(0.5, 2.0)
-        elif kind == 1:
-            a = nilpotent * rng.uniform(0.5, 2.0)
-        elif kind == 2:
-            a = np.zeros((int(rng.integers(1, 5)),) * 2)
-        else:
-            d = int(rng.integers(2, 7))
-            a = rng.standard_normal((d, d))
-        bound = 10.0 ** rng.uniform(-6.0, 0.0)
-        tau = default_tolerance(a)
-        try:
-            result = hyperbolize(a, tau, eps_cap=bound)
-        except ShiftTooSmall:
-            failed += 1
-            continue
-        # (A + eps*I) - A only recovers eps*I up to rounding in A's entries
-        shift_norm = densemat.op_norm2(result.shifted - a)
-        ok = (result.epsilon <= bound
-              and shift_norm <= bound + 1e-5 * tau
-              and classify(result.shifted, tau).is_hyperbolic)
-        if not ok:
-            failed += 1
-        worst = max(worst, shift_norm - result.epsilon)
-    return SuiteResult("density", trials, trials - failed, failed, worst)
+    kind = i % 4
+    if kind == 0:
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * rng.uniform(0.5, 2.0)
+    elif kind == 1:
+        a = np.array([[0.0, 1.0], [0.0, 0.0]]) * rng.uniform(0.5, 2.0)
+    elif kind == 2:
+        a = np.zeros((int(rng.integers(1, 5)),) * 2)
+    else:
+        d = int(rng.integers(2, 7))
+        a = rng.standard_normal((d, d))
+    bound = 10.0 ** rng.uniform(-6.0, 0.0)
+    tau = default_tolerance(a)
+    try:
+        result = hyperbolize(a, tau, eps_cap=bound)
+    except ShiftTooSmall:
+        return False, None
+    # (A + eps*I) - A only recovers eps*I up to rounding in A's entries
+    shift_norm = densemat.op_norm2(result.shifted - a)
+    ok = (result.epsilon <= bound
+          and shift_norm <= bound + 1e-5 * tau
+          and classify(result.shifted, tau).is_hyperbolic)
+    return ok, shift_norm - result.epsilon
 
 
-def vieta_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
+def _vieta_trial(rng: np.random.Generator, i: int):
     """Eigenvalue product must reproduce the determinant to 1e-8."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    failed = 0
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        a = rng.standard_normal((d, d))
-        disc = vieta_check(a)
-        worst = max(worst, disc)
-        if disc > 1e-8:
-            failed += 1
-    return SuiteResult("vieta", trials, trials - failed, failed, worst)
+    d = int(rng.integers(2, 9))
+    disc = vieta_check(rng.standard_normal((d, d)))
+    return disc <= 1e-8, disc
 
 
-def oracle_suite(seed: int = 1, trials: int = 1000) -> SuiteResult:
+def _oracle_trial(rng: np.random.Generator, i: int):
     """LAPACK eigenvalues and char-poly roots must agree to 1e-6 under matching."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    failed = 0
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        a = rng.standard_normal((d, d))
-        lapack_route = spectral.eigenvalues(a).values
-        poly_route = spectral.poly_roots(spectral.char_poly(a)).values
-        dist = matching.matched_distance(lapack_route, poly_route)
-        worst = max(worst, dist)
-        if dist > 1e-6:
-            failed += 1
-    return SuiteResult("oracle", trials, trials - failed, failed, worst)
+    d = int(rng.integers(2, 9))
+    a = rng.standard_normal((d, d))
+    lapack_route = spectral.eigenvalues(a).values
+    poly_route = spectral.poly_roots(spectral.char_poly(a)).values
+    dist = matching.matched_distance(lapack_route, poly_route)
+    return dist <= 1e-6, dist
 
 
+# Each suite's trial and its default trial count.
 SUITES = {
-    "openness": openness_suite,
-    "density": density_suite,
-    "vieta": vieta_suite,
-    "oracle": oracle_suite,
+    "openness": (_openness_trial, 1000),
+    "density": (_density_trial, 500),
+    "vieta": (_vieta_trial, 1000),
+    "oracle": (_oracle_trial, 1000),
 }
+
+
+def run_suite(name: str, seed: int = 1, trials: int | None = None) -> SuiteResult:
+    """Run the verification suite ``name``, a key of SUITES.
+
+    Trial i of ``trials`` (default: the suite's own count) draws from one
+    Generator(PCG64(seed)) stream and returns (passed, value). ``worst`` is
+    the largest value, starting from 0.0; a trial that fails before it has
+    one (an openness trial without a positive margin, a density trial whose
+    shift is too small) returns None and leaves ``worst`` alone.
+    """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite '{name}' "
+                         f"(known: {', '.join(sorted(SUITES))})")
+    trial, default = SUITES[name]
+    seed = _count(seed, "seed", 0)
+    trials = _count(default if trials is None else trials, "trials", 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    passed = 0
+    worst = 0.0
+    for i in range(trials):
+        ok, value = trial(rng, i)
+        passed += bool(ok)
+        if value is not None:
+            worst = max(worst, value)
+    return SuiteResult(name, trials, passed, trials - passed, worst)

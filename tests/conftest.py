@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -14,3 +15,11 @@ def rng():
 
 def random_matrix(rng, d, scale=1.0):
     return scale * rng.standard_normal((d, d))
+
+
+def write_matrix(path, m):
+    """Write a matrix in the JSON schema that ``hypflow.cli.read_matrix``
+    reads."""
+    doc = {"d": int(m.shape[0]), "data": [[float(v) for v in row] for row in m]}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ from hypflow import (cli, densemat, flow, inertia, matching, robustness,
                      spectral)
 from hypflow.inertia import ConjugacyClass
 
+from conftest import write_matrix
 from oracles import byers_distance
 
 
@@ -51,7 +52,7 @@ def random_normal_matrix(rng, d):
 
 def test_criterion_1_openness():
     t0 = time.time()
-    result = robustness.openness_suite(seed=1, trials=1000)
+    result = robustness.run_suite("openness", seed=1, trials=1000)
     elapsed = time.time() - t0
     ok = result.failed == 0 and elapsed < 60.0
     report(1, "openness: no inertia flip below the margin", ok,
@@ -59,20 +60,20 @@ def test_criterion_1_openness():
 
 
 def test_criterion_2_density():
-    result = robustness.density_suite(seed=1, trials=500)
+    result = robustness.run_suite("density", seed=1, trials=500)
     report(2, "density: diagonal shifts hyperbolize within any bound",
            result.failed == 0, f"{result.passed}/{result.total}")
 
 
 def test_criterion_3_eigenvalue_oracle_equivalence():
-    result = robustness.oracle_suite(seed=1, trials=1000)
+    result = robustness.run_suite("oracle", seed=1, trials=1000)
     ok = result.failed == 0 and result.worst <= 1e-6
     report(3, "LAPACK route vs char-poly+Aberth route within 1e-6", ok,
            f"{result.passed}/{result.total}, worst {result.worst:.2e}")
 
 
 def test_criterion_4_vieta_and_det_convergence():
-    result = robustness.vieta_suite(seed=1, trials=1000)
+    result = robustness.run_suite("vieta", seed=1, trials=1000)
     ok = result.failed == 0 and result.worst <= 1e-8
     # 20-step sequences H + G/n: |det A_n - det H| decays like the
     # first-order rate c1/n (pairs with degenerate or second-order-dominated
@@ -243,7 +244,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     paths = {}
     for name, m in fixtures.items():
         p = tmp_path / f"{name}.json"
-        cli.write_matrix(str(p), m)
+        write_matrix(p, m)
         paths[name] = str(p)
     svg_out = tmp_path / "portrait.svg"
     csv_out = tmp_path / "flow.csv"

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +68,26 @@ def test_import_leaves_random_and_scipy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _eigvals_sites(tree, where=()):
+    """The enclosing function names of each mention of ``eigvals``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = where + (node.name,)
+        if ((isinstance(node, ast.Attribute) and node.attr == "eigvals")
+                or (isinstance(node, ast.Name) and node.id == "eigvals")
+                or (isinstance(node, ast.alias) and node.name == "eigvals")):
+            yield where
+        yield from _eigvals_sites(node, inner)
+
+
+def test_one_eigenvalue_kernel():
+    # one implementation per kernel: every eigenvalue computation in the
+    # package goes through spectral.eigenvalues_many
+    sites = []
+    for path in sorted(Path(hypflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(path.stem, where) for where in _eigvals_sites(tree)]
+    assert sites == [("spectral", ("eigenvalues_many",))]

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import pytest
 import hypflow
 from hypflow import cli, flow, inertia, robustness
 
+from conftest import write_matrix
+from oracles import refined_grid_distance
+
 
 def write_fixture(tmp_path, name, matrix):
     path = tmp_path / name
-    cli.write_matrix(str(path), np.asarray(matrix, dtype=float))
+    write_matrix(path, np.asarray(matrix, dtype=float))
     return str(path)
 
 
@@ -54,6 +58,20 @@ class TestMatrixFile:
         path.write_text('{"d": 1, "data": [["x"]]}')
         with pytest.raises(cli.MatrixFileError, match="row 0, column 0"):
             cli.read_matrix(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[1.0]]",
+         "matrix file must be a JSON object with fields 'd' and 'data'"),
+        ('{"d": 2, "data": [[1, 2]]}',
+         "field 'data' must be a list of 2 rows, got 1"),
+        ('{"d": 1, "data": [[NaN]]}', "row 0, column 0: not a finite number")],
+        ids=["not-object", "short-data", "nan-entry"])
+    def test_schema_error_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(cli.MatrixFileError) as exc:
+            cli.read_matrix(str(path))
+        assert str(exc.value) == message
 
 
 class TestClassify:
@@ -150,6 +168,26 @@ class TestMargin:
         assert code == 0
         assert json.loads(out)["upper"] < 0.02
 
+    def test_indeterminate_exit_3(self, capsys, tmp_path):
+        # exited 2, as for a non-hyperbolic matrix, where classify exits 3
+        path = write_fixture(tmp_path, "edge.json",
+                             np.diag([0.1 + 5e-16, 1.0]))
+        code, out, _ = run(capsys, "margin", path, "--tol", "0.1")
+        assert code == 3
+        assert json.loads(out)["lower"] == 0.0
+
+    def test_norm_beyond_float_range_certified(self, capsys, tmp_path):
+        # ||A||_2 overflows, so the rounding floor was inf and lower came
+        # out as the uncertified 3/4 of upper
+        a = np.array([[1e308, 1.7e308], [0.0, 1e308]])
+        path = write_fixture(tmp_path, "edge.json", a)
+        code, out, err = run(capsys, "margin", path)
+        assert code == 0, err
+        report = json.loads(out)
+        distance = math.ldexp(refined_grid_distance(np.ldexp(a, -1024)), 1024)
+        assert 0 < report["lower"] <= distance <= report["upper"] * (1 + 1e-8)
+        assert report["upper"] - report["lower"] <= 1e-5 * report["upper"]
+
 
 class TestPerturb:
     def test_no_flips_exit_0(self, capsys, saddle):
@@ -176,7 +214,7 @@ class TestPerturb:
         assert len(report["flip_witnesses"]) == min(report["flips"], 10)
 
     def test_default_radius_near_float_max_exit_1(self, capsys, tmp_path):
-        # 0.9 * lower = 3.1e307 added to 1.7e308 passes the float range
+        # 0.9 * lower = 4.2e307 added to 1.7e308 passes the float range
         path = write_fixture(tmp_path, "edge.json",
                              [[1e308, 1.7e308], [0.0, 1e308]])
         code, out, err = run(capsys, "perturb", path, "--samples", "50")
@@ -193,6 +231,17 @@ class TestPerturb:
         code, _, err = run(capsys, "perturb", rotation, "--samples", "5",
                            "--radius", "0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("radius", [(), ("--radius", "0.1")],
+                             ids=["default-radius", "radius"])
+    def test_indeterminate_exit_3(self, capsys, tmp_path, radius):
+        # exited 2, as for a non-hyperbolic matrix, where classify exits 3
+        path = write_fixture(tmp_path, "edge.json",
+                             np.diag([0.1 + 5e-16, 1.0]))
+        code, out, err = run(capsys, "perturb", path, "--tol", "0.1",
+                             "--samples", "5", *radius)
+        assert (code, out) == (3, "")
+        assert err == "error: base matrix classified as indeterminate\n"
 
     def test_non_hyperbolic_default_radius_exit_2(self, capsys, rotation):
         code, out, err = run(capsys, "perturb", rotation, "--samples", "5")
@@ -394,6 +443,17 @@ class TestArgumentChecks:
         assert (code, out) == (1, "")
         assert err == "error: --seed must be >= 0\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("flow", "--x0=1,a", "--times", "0"),
+         "--x0 must be a comma-separated number list"),
+        (("perturb", "--seed", "-1"), "--seed must be >= 0"),
+        (("perturb", "--radius", "0"), "--radius must be > 0"),
+        (("portrait", "--seeds", "0"), "--seeds must be >= 1")],
+        ids=["flow-x0", "perturb-seed", "perturb-radius", "portrait-seeds"])
+    def test_flag_value_exit_1(self, capsys, saddle, argv, message):
+        code, out, err = run(capsys, argv[0], saddle, *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 @pytest.fixture
 def analyses(monkeypatch):
@@ -440,7 +500,7 @@ class TestOneAnalysisPerRequest:
         assert analyses == {"classify": 1, "svd": svds}
 
     def test_openness_trial(self, analyses):
-        result = robustness.openness_suite(seed=3, trials=4)
+        result = robustness.run_suite("openness", seed=3, trials=4)
         assert result.passed == 4
         assert analyses == {"classify": 4, "svd": 4}
 
@@ -568,6 +628,36 @@ def test_report_bytes_pinned(capsys, tmp_path, name):
     result = run(capsys, argv[0], path, *argv[1:])
     blob = json.dumps(result).encode()
     assert hashlib.sha256(blob).hexdigest() == digest, result
+
+
+# SHA-256 of the stdout of `hypflow verify`, as the per-suite loops wrote it
+# with numpy 2.4 and OpenBLAS 0.3 on x86-64: running every suite through one
+# loop must not move a byte.
+VERIFY = {
+    "openness": (
+        ("openness",),
+        "ec1ab5e2f679ff448553e5505f4d1c88cdbf0772e61c1e9b8acb9ca7e5df59ee"),
+    "density": (
+        ("density",),
+        "cac0023bd1ea25434a48e437974fcbff7aa99c7a37bbb3a38c1763ebd5c2d853"),
+    "vieta": (
+        ("vieta",),
+        "814be16f47619e9bbda12486dc10a496d30d71d98c48b9b9a31fa1900a959c12"),
+    "oracle": (
+        ("oracle",),
+        "ca2c09328390af6a329b55caa1aa81839dc791d5550c999b133ce4bc5543a395"),
+    "openness-seed-3": (
+        ("openness", "--seed", "3", "--samples", "300"),
+        "cb444bf6c52ee933e747b8cbfd968f9d747ac4df788e6b48714897a0ec6d5810"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_bytes_pinned(capsys, name):
+    argv, digest = VERIFY[name]
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_parser_built_once(capsys, saddle, monkeypatch):

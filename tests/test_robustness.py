@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -110,7 +111,7 @@ class TestHyperbolize:
             robustness.hyperbolize(np.zeros((2, 2)), tau=1e-3, eps_cap=1e-6)
 
     def test_density_construction_sweep(self):
-        result = robustness.density_suite(seed=7, trials=120)
+        result = robustness.run_suite("density", seed=7, trials=120)
         assert result.failed == 0
 
 
@@ -267,6 +268,21 @@ class TestMargin:
             assert ((m.lower, m.upper, m.omega_star, m.iterations, m.solves)
                     == (ref.lower, ref.upper, ref.omega_star, ref.iterations,
                         ref.solves))
+
+    @pytest.mark.parametrize("tau", [None, 0.0], ids=["default-tau", "tau"])
+    def test_norm_beyond_float_range_certified(self, tau):
+        # ||A||_2 overflows, so the rounding floor was inf and lower came out
+        # as the uncertified 3/4 of upper. The distance scales with A, so the
+        # bracket is that of 2**-1024 A scaled back, bit for bit
+        a = np.array([[1e308, 1.7e308], [0.0, 1e308]])
+        m = robustness.margin(a, tau)
+        ref = robustness.margin(np.ldexp(a, -1024))
+        assert ((m.lower, m.upper, m.omega_star)
+                == tuple(math.ldexp(v, 1024)
+                         for v in (ref.lower, ref.upper, ref.omega_star)))
+        distance = math.ldexp(refined_grid_distance(np.ldexp(a, -1024)), 1024)
+        assert 0 < m.lower <= distance <= m.upper * (1 + 1e-8)
+        assert m.upper - m.lower <= 1e-5 * m.upper
 
 
 class TestPerturbCampaign:
@@ -573,7 +589,7 @@ class TestVieta:
         assert robustness.vieta_check(np.eye(5)) <= 1e-12
 
     def test_random_ensemble(self):
-        result = robustness.vieta_suite(seed=5, trials=200)
+        result = robustness.run_suite("vieta", seed=5, trials=200)
         assert result.failed == 0
         assert result.worst <= 1e-8
 
@@ -673,7 +689,7 @@ class TestGenerate:
 
 class TestOpennessProperty:
     def test_no_flips_below_margin_small_run(self):
-        result = robustness.openness_suite(seed=2, trials=60)
+        result = robustness.run_suite("openness", seed=2, trials=60)
         assert result.failed == 0
 
     def test_campaign_respects_margin_bound(self, rng):
@@ -691,3 +707,25 @@ class TestOpennessProperty:
                                                  radius=0.9 * m.lower,
                                                  seed=int(rng.integers(0, 2 ** 31)))
             assert report.flips == 0
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, "5"])
+    def test_bad_trials_refused(self, trials):
+        # -5 used to report total = passed = -5, and 2.5 and "5" died with
+        # a bare TypeError
+        with pytest.raises(ValueError,
+                           match="^trials must be an integer >= 1$"):
+            robustness.run_suite("vieta", trials=trials)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_refused(self, seed):
+        # -1 used to fail in numpy, 1.5 with a bare TypeError
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            robustness.run_suite("oracle", seed=seed, trials=3)
+
+    def test_unknown_suite_refused(self):
+        with pytest.raises(ValueError) as exc:
+            robustness.run_suite("bogus")
+        assert str(exc.value) == ("unknown suite 'bogus' "
+                                  "(known: density, openness, oracle, vieta)")
