@@ -8,9 +8,13 @@ agree, so the pair (s, u) is the whole classification.
 
 Numerically a strict sign test at the axis is not decidable, so the counts
 carry a tolerance band: eigenvalues with |Re| <= tau are reported in the
-indeterminate count c, and a verdict of Hyperbolic additionally requires the
-eigenvalue accuracy estimate to clear the band. The classifier never reports
-Hyperbolic when rounding could have flipped a sign.
+indeterminate count c, and a verdict of Hyperbolic additionally requires
+every |Re lambda| to clear the band by the eigenvalue accuracy estimate.
+That estimate is a backward error: the computed eigenvalues are exact for
+some matrix that close to A. For a normal matrix they are then that close to
+A's own; for a non-normal one they can be much farther. So Hyperbolic is not
+a forward guarantee that rounding flipped no sign: a strongly non-normal
+matrix can be called hyperbolic in a class other than its own.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ def classify(a, tau: float | None = None) -> Verdict:
 
     Hyperbolic requires every |Re lambda| to clear tau by more than the
     eigenvalue accuracy estimate; NonHyperbolic means some |Re lambda| <= tau
-    (a witness is attached); anything in between is Indeterminate.
+    (a witness is attached); anything in between is Indeterminate. Raises
+    ValueError when an eigenvalue passes the float range.
     """
     m = densemat.as_matrix(a)
     norm = None
@@ -132,6 +137,10 @@ def classify(a, tau: float | None = None) -> Verdict:
         norm = densemat.op_norm2(m)
         tau = _tolerance(m, norm)
     spec = spectral.eigenvalues(m)
+    # a finite matrix can have eigenvalues past the float maximum (up to
+    # d times it); LAPACK returns them as inf, which no report can carry
+    if not np.isfinite(spec.values).all():
+        raise ValueError("eigenvalues exceed the float range")
     inr = inertia_of(spec, tau)
     kind, witness = INDETERMINATE, None
     if inr.c > 0:

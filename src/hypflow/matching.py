@@ -3,7 +3,8 @@
 Eigenvalue multisets have no canonical order, so equality and distance
 questions are answered by finding the permutation that minimizes the total
 pairwise distance. The Hungarian algorithm (potentials + augmenting paths,
-O(n^3)) is plenty at the matrix sizes this package targets.
+O(n^3)) is plenty at the matrix sizes this package targets; it runs on
+nested lists of Python floats, which index faster than numpy scalars.
 """
 
 from __future__ import annotations
@@ -18,27 +19,10 @@ _INF = float("inf")
 _MAX = float(np.finfo(float).max)
 
 
-def min_weight_assignment(cost) -> tuple[list[int], float]:
-    """Solve the square assignment problem for a cost matrix.
-
-    Returns (assignment, total) where assignment[i] is the column matched to
-    row i and total is the summed cost of the matching. Raises ValueError
-    when that total leaves the float range.
-    """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatch(f"cost matrix must be square, got {c.shape}")
-    # an inf or nan reduced cost is never the least, so no column is chosen
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
-    n = c.shape[0]
-    # The potentials and reduced costs stay within (4n + 2) times the
-    # largest |cost|. Near the float maximum they run on the costs divided
-    # by a power of two, which makes the same comparisons without overflow.
-    scale = 1.0
-    if np.abs(c).max(initial=0.0) > _MAX / (4 * n + 2):
-        scale = 2.0 ** (4 * n + 2).bit_length()
-        c = c / scale
+def _hungarian(rows: list, n: int) -> list[int]:
+    """Least-total assignment of the n x n costs ``rows`` (nested lists of
+    finite Python floats, every |cost| at most _MAX / (4n + 2)):
+    assignment[i] is the column matched to row i."""
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
     p = [0] * (n + 1)
@@ -51,12 +35,14 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
         while True:
             used[j0] = True
             i0 = p[j0]
+            row = rows[i0 - 1]
+            ui = u[i0]
             delta = _INF
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = c[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -80,10 +66,82 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
     for j in range(1, n + 1):
         if p[j] > 0:
             assignment[p[j] - 1] = j - 1
-    total = float(sum(c[i][assignment[i]] for i in range(n))) * scale
+    return assignment
+
+
+def min_weight_assignment(cost) -> tuple[list[int], float]:
+    """Solve the square assignment problem for a cost matrix.
+
+    Returns (assignment, total) where assignment[i] is the column matched to
+    row i and total is the summed cost of the matching. Raises ValueError
+    when that total leaves the float range.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"cost matrix must be square, got {c.shape}")
+    # an inf or nan reduced cost is never the least, so no column is chosen
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost entries must be finite")
+    n = c.shape[0]
+    # The potentials and reduced costs stay within (4n + 2) times the
+    # largest |cost|. Near the float maximum they run on the costs divided
+    # by a power of two, which makes the same comparisons without overflow.
+    scale = 1.0
+    if np.abs(c).max(initial=0.0) > _MAX / (4 * n + 2):
+        scale = 2.0 ** (4 * n + 2).bit_length()
+        c = c / scale
+    rows = c.tolist()
+    assignment = _hungarian(rows, n)
+    # left to right, on every Python: from 3.12 sum() over floats is
+    # compensated, which can give another total
+    total = 0.0
+    for i, j in enumerate(assignment):
+        total += rows[i][j]
+    total *= scale
     if math.isinf(total):
         raise ValueError("assignment total exceeds the float range")
     return assignment, total
+
+
+def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:
+    """``pair_values(avs[k], bv)`` for each row k of the complex (B, n)
+    stack ``avs``, as (perms, max_distances); all B cost matrices come from
+    one broadcast."""
+    n = bv.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = np.abs(avs[:, :, None] - bv)
+        peaks = costs.max(axis=(1, 2), initial=0.0).tolist()
+    limit = _MAX / (4 * n + 2)
+    perms, dists = [], []
+    for k, cost in enumerate(costs.tolist()):
+        # below the limit min_weight_assignment would not scale (a nan
+        # peak fails the test too)
+        if peaks[k] <= limit:
+            perm = _hungarian(cost, n)
+            dist = max(cost[i][perm[i]] for i in range(n))
+        else:
+            perm, dist = _pair_near_max(avs[k], bv, costs[k])
+        perms.append(perm)
+        dists.append(dist)
+    return perms, dists
+
+
+def _pair_near_max(av: np.ndarray, bv: np.ndarray,
+              cost: np.ndarray) -> tuple[list[int], float]:
+    """``pair_values`` where a distance passes _MAX / (4n + 2) or is not
+    finite."""
+    # a distance between finite values overflows only past the float
+    # maximum; pair those values at an exact quarter scale. A non-finite
+    # value is refused by min_weight_assignment.
+    scale = 1.0
+    if np.isinf(cost).any() and np.isfinite(av).all() and np.isfinite(bv).all():
+        scale = 4.0
+        cost = np.abs(av[:, None] / scale - bv[None, :] / scale)
+    perm, _ = min_weight_assignment(cost)
+    max_dist = float(max(cost[i][perm[i]] for i in range(len(av)))) * scale
+    if math.isinf(max_dist):
+        raise ValueError("matched distance exceeds the float range")
+    return perm, max_dist
 
 
 def pair_values(a, b) -> tuple[list[int], float]:
@@ -98,19 +156,9 @@ def pair_values(a, b) -> tuple[list[int], float]:
         raise DimensionMismatch(
             f"cannot pair {len(av)} values with {len(bv)} values"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = np.abs(av[:, None] - bv[None, :])
-    # a distance between finite values overflows only past the float
-    # maximum; pair those values at an exact quarter scale. A non-finite
-    # value is refused by min_weight_assignment.
-    scale = 1.0
-    if np.isinf(cost).any() and np.isfinite(av).all() and np.isfinite(bv).all():
-        scale = 4.0
-        cost = np.abs(av[:, None] / scale - bv[None, :] / scale)
-    perm, _ = min_weight_assignment(cost)
-    max_dist = float(max(cost[i][perm[i]] for i in range(len(av)))) * scale
-    if math.isinf(max_dist):
-        raise ValueError("matched distance exceeds the float range")
+    if av.ndim != 1:
+        raise DimensionMismatch(f"values must form a list, got shape {av.shape}")
+    (perm,), (max_dist,) = _pair_rows(av[None], bv)
     return perm, max_dist
 
 

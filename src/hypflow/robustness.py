@@ -72,9 +72,14 @@ class MarginResult:
     """Bracket lower <= distance <= upper on the distance to the nearest
     non-hyperbolic matrix.
 
-    ``upper`` is sigma_min(A - i*omega_star*I), so a perturbation of that norm
-    reaches the axis. ``lower`` is a level at which the Hamiltonian test found
-    no crossing, so every perturbation of smaller norm keeps (s, u).
+    The distance is over complex perturbations. ``upper`` is
+    sigma_min(A - i*omega_star*I), the norm of a complex rank-1 perturbation
+    that puts an eigenvalue on the axis. At omega_star = 0 that perturbation
+    is real; at omega_star != 0 a real perturbation can need a larger norm
+    (``generate(ConjugacyClass(2, 0, 2), 50.0, 83)`` has upper = 0.007387,
+    and its nearest real matrix with an axis eigenvalue is 0.02643 away).
+    ``lower`` is a level at which the Hamiltonian test found no crossing, so
+    every perturbation of smaller norm, real or complex, keeps (s, u).
     ``iterations`` counts sigma_min evaluations and ``solves`` Hamiltonian
     eigensolves. Non-hyperbolic input yields all zeros.
     """
@@ -354,7 +359,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         g = np.empty((len(block), d, d))
         frac = np.empty(len(block))
         for j, rng in enumerate(_streams(seed, block)):
-            g[j] = rng.standard_normal((d, d))
+            rng.standard_normal(out=g[j])
             frac[j] = 1.0 - rng.random()
         norm_g = densemat._singular_values(g)[:, 0]
         drawn = np.flatnonzero(norm_g)
@@ -374,6 +379,33 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
                           flips=flips, seed=seed, flip_witnesses=witnesses)
 
 
+def _sequence_stack(sequence, shape: tuple) -> np.ndarray:
+    """The real matrices of ``sequence``, each of ``shape``, as one stack;
+    the caller checks that the entries are finite.
+
+    A list of real arrays of one shape converts in one call. Anything else
+    goes through ``as_matrix`` entry by entry, so that the error names what
+    is wrong with the first wrong entry.
+    """
+    seq = list(sequence)
+    try:
+        stack = np.asarray(seq)
+    except ValueError:
+        stack = None  # ragged
+    if (stack is not None and stack.shape[1:] == shape
+            and stack.dtype.kind in "biuf"):
+        return stack.astype(float, copy=False)
+    mats = [densemat.as_matrix(x) for x in seq]
+    if not mats:
+        raise ValueError("sequence must be nonempty")
+    for x in mats:
+        if x.shape != shape:
+            raise DimensionMismatch(
+                f"sequence entry has dimension {x.shape[0]}, expected {shape[0]}"
+            )
+    return np.stack(mats)
+
+
 def continuity_check(h, sequence) -> ContinuityReport:
     """Match eigenvalues of each A_n against those of H and track the mismatch.
 
@@ -383,28 +415,15 @@ def continuity_check(h, sequence) -> ContinuityReport:
     on the suffix where ||A_n - H|| itself is non-increasing.
     """
     m = densemat.as_matrix(h)
-    mats = [densemat.as_matrix(x) for x in sequence]
-    if not mats:
-        raise ValueError("sequence must be nonempty")
-    for x in mats:
-        if x.shape != m.shape:
-            raise DimensionMismatch(
-                f"sequence entry has dimension {x.shape[0]}, expected {m.shape[0]}"
-            )
-    stack = np.stack(mats)
+    stack = _sequence_stack(sequence, m.shape)
     with np.errstate(over="ignore"):
         diffs = stack - m
-    # an overflowed entry would stall the eigenvalue matching, and the SVD
-    # would turn it into NaN singular values, silently
+    # a non-finite or overflowed entry would stall the eigenvalue matching,
+    # and the SVD would turn it into NaN singular values, silently
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
-    *eigs, eig_h = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
-    pairings = []
-    mismatches = []
-    for eig_n in eigs:
-        perm, max_d = matching.pair_values(eig_n, eig_h)
-        pairings.append(perm)
-        mismatches.append(max_d)
+    eigs = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
+    pairings, mismatches = matching._pair_rows(eigs[:-1], eigs[-1])
     # ||A_n - H||_2 for each n, then ||H||_2, from one stacked SVD; unlike
     # the Frobenius norm it does not overflow for finite H
     *dists, norm_h = densemat._singular_values(

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,15 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports hypflow from this
+    checkout's ``src``, whatever the parent's PYTHONPATH."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 @pytest.fixture

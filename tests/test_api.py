@@ -1,5 +1,4 @@
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +7,8 @@ import numpy as np
 import pytest
 
 import hypflow
+
+from conftest import child_env
 
 # The public surface. Adding or deleting a name is meant to show up here.
 PUBLIC = [
@@ -63,7 +64,7 @@ def test_import_leaves_random_and_scipy_unloaded():
     code = ("import sys, hypflow\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'numpy.random' or m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

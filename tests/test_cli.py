@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ class TestClassify:
         report = json.loads(out)
         assert report["verdict"] == "hyperbolic"
         assert (report["s"], report["u"]) == (0, 2)
+
+    @pytest.mark.parametrize("command", ["classify", "margin", "perturb"])
+    def test_eigenvalues_beyond_float_range_exit_1(self, capsys, tmp_path,
+                                                   command):
+        # classify printed Infinity eigenvalues, which are not strict JSON,
+        # and exited 0; margin failed with "SVD did not converge" after a
+        # RuntimeWarning
+        path = write_fixture(tmp_path, "edge.json",
+                             [[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert err == "error: eigenvalues exceed the float range\n"
 
     def test_malformed_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

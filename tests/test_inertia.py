@@ -105,6 +105,14 @@ class TestClassify:
             2e-9 * densemat.op_norm2(a / 2), rel=1e-12)
         assert inertia.default_tolerance(a) == v.inertia.tau
 
+    def test_eigenvalues_beyond_float_range_refused(self):
+        # every entry is finite, but the eigenvalues are +-2.4e308: they came
+        # out infinite, and the matrix was called hyperbolic
+        a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        with pytest.raises(ValueError,
+                           match="^eigenvalues exceed the float range$"):
+            inertia.classify(a)
+
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_bad_tau_rejected(self, tau):
         # nan used to reach the witness search and die with an IndexError

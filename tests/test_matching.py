@@ -1,6 +1,6 @@
 import ast
 import itertools
-import os
+import math
 import subprocess
 import sys
 import warnings
@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from hypflow import matching
 from hypflow.errors import DimensionMismatch
+
+from conftest import child_env
+from oracles import min_weight_assignment_numpy
 
 
 def brute_force_min_cost(cost):
@@ -73,7 +76,7 @@ def run_apart(call):
             "from hypflow import matching, robustness\n"
             f"try:\n    print({call})\nexcept ValueError as exc:\n"
             "    print(exc)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
@@ -162,3 +165,51 @@ def test_pair_values_near_max():
     assert perm == [1, 0]
     assert dist == pytest.approx(max(abs(a[0] - b[1]), abs(a[1] - b[0])),
                                  rel=1e-15)
+
+
+def square(entries):
+    """n x n nested lists drawn from ``entries``, n in 1..6."""
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+def assignment_outcome(solve, cost):
+    """(assignment, total as float.hex) or the ValueError message."""
+    try:
+        assignment, total = solve(cost)
+    except ValueError as exc:
+        return str(exc)
+    return assignment, total.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=st.one_of(
+    square(st.floats(-1e300, 1e300)),
+    square(st.sampled_from([0.0, 1.0, 2.0])),
+    st.sampled_from(NEAR_MAX)))
+def test_assignment_matches_numpy_loop(cost):
+    # the loop on Python floats makes the numpy loop's subtractions and
+    # comparisons in the same order: the same assignment, ties included,
+    # and the same total bits
+    assert (assignment_outcome(matching.min_weight_assignment, cost)
+            == assignment_outcome(min_weight_assignment_numpy, cost))
+
+
+def test_total_summed_left_to_right(monkeypatch):
+    # 1 + 1e100 + 1 - 1e100 is 0.0 added left to right but 2.0 compensated,
+    # as sum() over floats is from Python 3.12 on; the total must not
+    # depend on which sum() the interpreter has
+    cost = np.full((4, 4), 1e200)
+    np.fill_diagonal(cost, [1.0, 1e100, 1.0, -1e100])
+    monkeypatch.setattr(matching, "sum", math.fsum, raising=False)
+    assignment, total = matching.min_weight_assignment(cost)
+    assert assignment == [0, 1, 2, 3]
+    assert total == 0.0 != math.fsum(np.diag(cost))
+    assert (assignment, total) == min_weight_assignment_numpy(cost)
+
+
+def test_pair_values_of_a_matrix_refused():
+    # a 2-D value array used to reach the assignment as a (2, 2, 2) cost
+    with pytest.raises(DimensionMismatch, match="values must form a list"):
+        matching.pair_values(np.eye(2), np.eye(2))

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 
@@ -11,6 +10,7 @@ from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
                             NotHyperbolic, ShiftTooSmall)
 from hypflow.inertia import ConjugacyClass
 
+from conftest import child_env
 from oracles import (byers_distance, campaign_recount, grid_distance_oracle,
                      gram_schmidt_orthogonal, refined_grid_distance,
                      svd_sigma_min)
@@ -185,7 +185,7 @@ class TestMargin:
         code = ("from hypflow import margin; "
                 "r = margin([[-1e4, 3e11], [-3e11, -1e4]]); "
                 "print(r.lower, r.upper)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env = child_env()
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -575,6 +575,31 @@ class TestContinuity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             robustness.continuity_check(np.eye(2), [np.eye(3)])
+
+    @pytest.mark.parametrize("seq, error, message", [
+        ([np.eye(2), np.eye(3), np.eye(4)], DimensionMismatch,
+         "sequence entry has dimension 3, expected 2"),
+        ([np.eye(2), np.ones((2, 3))], DimensionMismatch,
+         r"expected a square matrix, got shape \(2, 3\)"),
+        ([np.eye(3), [[1j, 0.0], [0.0, 1.0]]], ValueError,
+         "matrix entries must be real"),
+        ([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]], ValueError,
+         "matrix entries must be finite"),
+    ], ids=["dimension", "not-square", "complex", "nan"])
+    def test_sequence_errors_name_the_first_wrong_entry(self, seq, error,
+                                                        message):
+        with pytest.raises(error, match=f"^{message}$"):
+            robustness.continuity_check(np.eye(2), seq)
+
+    def test_sequence_forms_converted_alike(self, rng):
+        h = rng.standard_normal((3, 3))
+        seq = [np.round(h) + k * np.eye(3) for k in range(1, 5)]
+        report = robustness.continuity_check(h, seq)
+        for form in (np.array(seq), iter(seq), [x.tolist() for x in seq],
+                     [x.astype(int) for x in seq]):
+            other = robustness.continuity_check(h, form)
+            assert other.pairings == report.pairings
+            assert other.max_mismatch == report.max_mismatch
 
     def test_empty_sequence(self):
         with pytest.raises(ValueError):
