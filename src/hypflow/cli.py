@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NON_HYPERBOLIC = 2
 EXIT_INDETERMINATE = 3
+
+# rows of a flow's CSV formatted by one %-operation
+_CSV_ROWS = 1024
 
 
 class MatrixFileError(ValueError):
@@ -43,9 +47,11 @@ def read_matrix(path: str) -> np.ndarray:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
+    # besides JSONDecodeError, json.loads raises ValueError on an integer
+    # past Python's digit limit and RecursionError on deep nesting
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFileError(
@@ -66,8 +72,12 @@ def read_matrix(path: str) -> np.ndarray:
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MatrixFileError(f"row {i}, column {j}: not a number")
-            v = float(value)
-            if not np.isfinite(v):
+            # an integer past the float range overflows like 1e999 does
+            try:
+                v = float(value)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
                 raise MatrixFileError(f"row {i}, column {j}: not a finite number")
             out[i, j] = v
     return out
@@ -172,12 +182,15 @@ def _cmd_flow(args, stdout) -> int:
     traj = flow.trajectory(m, x0, times)
     d = m.shape[0]
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(d))]
-    # one %-format per row of Python floats gives the bytes of
-    # format(v, ".17g") at half the cost; converting row by row keeps the
-    # whole grid from being held as Python floats at once
+    # one %-format per chunk of rows gives the bytes of format(v, ".17g")
+    # for a fraction of the cost; converting chunk by chunk keeps a long
+    # grid from being held as Python floats at once
     row = ",".join(["%.17g"] * (d + 1))
     table = np.column_stack((traj.times, traj.states))
-    lines += [row % tuple(r.tolist()) for r in table]
+    for start in range(0, len(table), _CSV_ROWS):
+        chunk = table[start:start + _CSV_ROWS]
+        lines.append("\n".join([row] * len(chunk))
+                     % tuple(chunk.ravel().tolist()))
     _write_payload("\n".join(lines) + "\n", args.out, stdout)
     return EXIT_OK
 

@@ -4,6 +4,7 @@ subspaces, and 2-D phase portraits as SVG documents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,10 +67,11 @@ def expm_many(stack) -> np.ndarray:
     """Matrix exponentials of a (B, d, d) stack by scaling and squaring with
     a degree-13 Pade core.
 
-    Each matrix is halved j times until its 2-norm is at most 1/2 (all norms
-    from one stacked SVD), the Pade approximant is evaluated there for the
-    whole stack with one stacked solve, and each result is squared its own
-    j times back.
+    Each matrix is halved j times until its 2-norm is at most 1/2, the Pade
+    approximant is evaluated there for the whole stack with one stacked
+    solve, and each result is squared its own j times back. A matrix whose
+    Frobenius norm certifies the 2-norm below 1/2 takes j = 0 outright; the
+    others take their 2-norms from one stacked SVD.
     Stacked LAPACK and BLAS calls run the same routine on each matrix, so
     every result is bit for bit the exponential of that matrix alone.
     Squarings that overflow give inf or nan entries.
@@ -79,8 +81,19 @@ def expm_many(stack) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a (B, d, d) stack, got shape {ms.shape}")
     d = ms.shape[1]
-    j = np.array([_halvings(n, d) for n in
-                  densemat._singular_values(ms)[:, 0].tolist()], dtype=int)
+    # ||M||_2 <= ||M||_F. The computed Frobenius norm is within a relative
+    # (d^2 + 2) eps/2 of the true one (d^2 squares, their sum and the root;
+    # underflow loses far less near 1/2), and LAPACK's largest singular
+    # value within a small multiple of d eps of ||M||_2. Below the margin
+    # 16 (d^2 + 2) eps, which covers both, the SVD would give a norm of at
+    # most 1/2, so j = 0 without it.
+    with np.errstate(over="ignore"):
+        fro = np.sqrt(np.einsum("bij,bij->b", ms, ms))
+    svd = ~(fro < 0.5 * (1.0 - 16.0 * (d * d + 2) * _EPS))
+    j = np.zeros(len(ms), dtype=int)
+    if svd.any():
+        j[svd] = [_halvings(n, d) for n in
+                  densemat._singular_values(ms[svd])[:, 0].tolist()]
     ms = np.ldexp(ms, -j[:, None, None])
     eye = np.eye(d)
     b = _PADE13
@@ -131,28 +144,36 @@ def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
     reuse_tol = 4.0 * _EPS * float(np.max(np.abs(times)))
     lead = int(times[0] != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        dts, which = [], []
-        for dt in np.diff(times).tolist():
-            if not dts or abs(dt - dts[-1]) > reuse_tol:
-                dts.append(dt)
-            which.append(len(dts) - 1)
+        diffs = np.diff(times)
+        # where every step lies within reuse_tol of the first, the loop
+        # below would keep that first step alone
+        if diffs.size and np.abs(diffs - diffs[0]).max() <= reuse_tol:
+            dts, which = diffs[:1].tolist(), [0] * diffs.size
+        else:
+            dts, which = [], []
+            for dt in diffs.tolist():
+                if not dts or abs(dt - dts[-1]) > reuse_tol:
+                    dts.append(dt)
+                which.append(len(dts) - 1)
         gens = np.array([times[0]] * lead + dts)[:, None, None] * m
         finite = np.isfinite(gens).all(axis=(1, 2))
         gens[~finite] = 0.0  # a stand-in: its first time is refused below
         mats = expm_many(gens)
         finite &= np.isfinite(mats).all(axis=(1, 2))
-        steps = list(mats[lead:])
+        # a bound dot is the cheapest call for one state; a stack needs matmul
+        steps = [s.dot if x.ndim == 1 else functools.partial(np.matmul, s)
+                 for s in mats[lead:]]
         states = np.empty(times.shape + x.shape)
         states[0] = mats[0] @ x if lead else x
-        # dot is the cheaper call for one state; a stack needs matmul
-        product = np.dot if x.ndim == 1 else np.matmul
-        for prev, row, i in zip(states, states[1:], which):
-            product(steps[i], prev, out=row)
+        rows = list(states)
+        for prev, row, i in zip(rows, rows[1:], which):
+            steps[i](prev, out=row)
         fine = np.isfinite(states).reshape(times.size, -1).all(axis=1)
     # a state is only as good as the matrix that made it
-    if lead:
-        fine[0] &= finite[0]
-    fine[1:] &= finite[lead:][which]
+    if not finite.all():
+        if lead:
+            fine[0] &= finite[0]
+        fine[1:] &= finite[lead:][which]
     if not fine.all():
         t = float(times[np.argmin(fine)])
         raise FlowOverflow(f"the flow leaves the float range at t = {t!r}")
@@ -310,12 +331,14 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
                     f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="{color}" '
                     f'stroke-width="1.5"/>'
                 )
-    sx, sy = to_svg(states)
-    for px, py in zip(sx.T.tolist(), sy.T.tolist()):
-        coords = " ".join(map("{:.6g},{:.6g}".format, px, py))
+    # one %-format per polyline over its interleaved (x, y) row; "%.6g" % v
+    # is format(v, ".6g")
+    coords = " ".join(["%.6g,%.6g"] * len(grid))
+    xy = np.stack(to_svg(states.swapaxes(0, 1)), axis=-1)
+    for row in xy.reshape(len(xs), 2 * len(grid)).tolist():
         lines.append(
             f'<polyline fill="none" stroke="{TRAJECTORY_COLOR}" '
-            f'stroke-width="1" points="{coords}"/>'
+            f'stroke-width="1" points="{coords % tuple(row)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n", verdict

@@ -118,7 +118,7 @@ def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:
         # peak fails the test too)
         if peaks[k] <= limit:
             perm = _hungarian(cost, n)
-            dist = max(cost[i][perm[i]] for i in range(n))
+            dist = max((cost[i][perm[i]] for i in range(n)), default=0.0)
         else:
             perm, dist = _pair_near_max(avs[k], bv, costs[k])
         perms.append(perm)

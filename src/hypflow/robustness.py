@@ -423,6 +423,10 @@ def continuity_check(h, sequence) -> ContinuityReport:
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
     eigs = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
+    # as in classify: LAPACK returns eigenvalues past the float maximum as
+    # inf, which the matching would refuse as costs the caller never gave
+    if not np.isfinite(eigs).all():
+        raise ValueError("eigenvalues exceed the float range")
     pairings, mismatches = matching._pair_rows(eigs[:-1], eigs[-1])
     # ||A_n - H||_2 for each n, then ||H||_2, from one stacked SVD; unlike
     # the Frobenius norm it does not overflow for finite H

@@ -3,15 +3,42 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypflow
 from hypflow import cli, flow, inertia, robustness
 
 from conftest import write_matrix
 from oracles import refined_grid_distance
+
+
+# JSON values of every kind, nested, and matrix-file-shaped documents built
+# from them; json.dumps writes nan and inf as the NaN and Infinity literals
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=3)
+                | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+JSON_DOCS = (JSON_VALUES
+             | st.fixed_dictionaries({"d": JSON_VALUES, "data": JSON_VALUES})
+             | st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries({
+                 "d": st.just(d),
+                 "data": st.lists(st.lists(JSON_VALUES, min_size=d,
+                                           max_size=d),
+                                  min_size=d, max_size=d)}))
+             | st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries({
+                 "d": st.just(d),
+                 "data": st.lists(st.lists(JSON_SCALARS, min_size=d,
+                                           max_size=d),
+                                  min_size=d, max_size=d)})))
 
 
 def write_fixture(tmp_path, name, matrix):
@@ -65,14 +92,51 @@ class TestMatrixFile:
          "matrix file must be a JSON object with fields 'd' and 'data'"),
         ('{"d": 2, "data": [[1, 2]]}',
          "field 'data' must be a list of 2 rows, got 1"),
-        ('{"d": 1, "data": [[NaN]]}', "row 0, column 0: not a finite number")],
-        ids=["not-object", "short-data", "nan-entry"])
+        ('{"d": 1, "data": [[NaN]]}', "row 0, column 0: not a finite number"),
+        ('{"d": 1, "data": [[' + "9" * 400 + "]]}",
+         "row 0, column 0: not a finite number")],
+        ids=["not-object", "short-data", "nan-entry", "huge-integer"])
     def test_schema_error_named(self, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(cli.MatrixFileError) as exc:
             cli.read_matrix(str(path))
         assert str(exc.value) == message
+
+    def test_huge_integer_refused_by_classify(self, capsys, tmp_path):
+        # float() of a 400-digit JSON integer raised OverflowError, which
+        # escaped as a traceback
+        path = tmp_path / "huge.json"
+        path.write_text('{"d": 1, "data": [[' + "9" * 400 + "]]}")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: row 0, column 0: not a finite number\n"
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"d": 1, "data": [[' + "9" * 5000 + "]]}"],
+        ids=["deep-nesting", "integer-past-digit-limit"])
+    def test_unparsable_json_refused(self, tmp_path, text):
+        # json.loads raised RecursionError and a non-JSONDecodeError
+        # ValueError on these
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(cli.MatrixFileError, match="^invalid JSON: "):
+            cli.read_matrix(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_any_json_document_read_or_refused(self, doc):
+        # a matrix file is answered with a finite float matrix or refused
+        # with MatrixFileError, whatever JSON it holds
+        text = json.dumps(doc)
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            try:
+                m = cli.read_matrix("-")
+            except cli.MatrixFileError:
+                return
+        assert m.dtype == float and m.ndim == 2 and m.shape[0] == m.shape[1]
+        assert np.isfinite(m).all()
 
 
 class TestClassify:
@@ -325,6 +389,22 @@ class TestFlow:
         assert out == ""
         assert out_path.read_text().startswith("t,x1,x2\n")
 
+
+    def test_csv_past_one_chunk_matches_row_by_row_text(self, capsys,
+                                                        tmp_path):
+        # rows are formatted a chunk at a time; a grid of two and a half
+        # chunks must give the row-by-row "%.17g" text
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((3, 3)) / 3.0
+        times = np.linspace(-1.0, 2.0, 5 * cli._CSV_ROWS // 2)
+        path = write_fixture(tmp_path, "m.json", m)
+        code, out, err = run(capsys, "flow", path, "--x0=1,-2,0.5",
+                             "--times=" + ",".join(map(repr, times.tolist())))
+        assert (code, err) == (0, "")
+        states = flow.trajectory(m, [1.0, -2.0, 0.5], times).states
+        rows = [",".join("%.17g" % v for v in (t, *x))
+                for t, x in zip(times.tolist(), states.tolist())]
+        assert out == "\n".join(["t,x1,x2,x3"] + rows) + "\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale, times, when", [

@@ -92,9 +92,21 @@ class TestExpm:
             ref = taylor_squaring(h)
             assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_many_bitwise_per_matrix(self, rng):
-        # one stack mixes scaling exponents 0..12, the zero matrix and a
-        # nilpotent block; each result must be that matrix's own exponential
+    def test_many_bitwise_per_matrix(self, rng, monkeypatch):
+        # one stack mixes scaling exponents 0..12, the zero matrix, a
+        # nilpotent block and rank-one matrices (||M||_F = ||M||_2) of norm
+        # 0.5 (1 +- k eps), on both sides of the bound below which the
+        # Frobenius norm alone sets j = 0; each result must be that
+        # matrix's own exponential
+        measured = []
+        singular_values = densemat._singular_values
+
+        def recording(ms):
+            measured.extend(m.tobytes() for m in ms)
+            return singular_values(ms)
+
+        monkeypatch.setattr(densemat, "_singular_values", recording)
+        eps = np.finfo(float).eps
         for d in range(1, 9):
             stack = [scaled_random(rng, d, norm)
                      for norm in (1e-3, 0.3, 0.5, 0.7, 2.0, 37.0, 300.0)]
@@ -102,12 +114,26 @@ class TestExpm:
             stack.append(scaled_random(rng, d, 1e3) - 1e3 * np.eye(d))
             stack.append(np.zeros((d, d)))
             stack.append(np.triu(rng.standard_normal((d, d)), 1))
+            u, v = rng.standard_normal(d), rng.standard_normal(d)
+            unit = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+            stack += [0.5 * (1.0 + sign * k * eps) * unit
+                      for k in (0, 1, 2, 3, 5, 8, 13, 16 * (d * d + 2),
+                                40 * (d * d + 2), 2.0 ** 32)
+                      for sign in (1, -1)]
             stack = [stack[i] for i in rng.permutation(len(stack))]
+            measured.clear()
             out = flow.expm_many(np.array(stack))
             assert out.shape == (len(stack), d, d)
+            svd_taken = set(measured)
             for m, e in zip(stack, out):
                 assert np.array_equal(e, oracles.expm_pade13(m))
                 assert np.array_equal(e, flow.expm(m))
+                # a norm of 1/2 or more is always measured; one 2^-20 below
+                # the bound is not
+                if densemat.op_norm2(m) >= 0.5:
+                    assert m.tobytes() in svd_taken
+                if np.linalg.norm(m) <= 0.5 * (1.0 - 2.0 ** -20):
+                    assert m.tobytes() not in svd_taken
 
     def test_many_empty_stack(self):
         assert flow.expm_many(np.zeros((0, 3, 3))).shape == (0, 3, 3)
@@ -207,24 +233,38 @@ class TestTrajectory:
     @pytest.mark.parametrize("start", [0.0, 0.7, -1.3])
     def test_bitwise_per_step_loop(self, rng, start):
         # the loop trajectory ran before its steps were stacked: one expm
-        # per new step, reused while it stays within 4*eps*max|t|
+        # per new step, reused while it stays within 4*eps*max|t|. Besides
+        # runs of repeated steps, the grids include linspace grids, whose
+        # steps carry rounding jitter, and uniform grids with one outlier
+        # step, which the one-step path for uniform grids must not take.
+        eps = np.finfo(float).eps
         for _ in range(20):
             d = int(rng.integers(1, 8))
             h = scaled_random(rng, d, float(rng.uniform(0.2, 6.0)))
             x0 = rng.standard_normal(d)
             gaps = np.repeat(rng.uniform(0.01, 0.8, 6), rng.integers(1, 5, 6))
-            grid = start + np.concatenate(([0.0], np.cumsum(gaps)))
-            current = x0 if start == 0.0 else flow.expm(grid[0] * h) @ x0
-            expect = [current]
-            tol = 4.0 * np.finfo(float).eps * np.max(np.abs(grid))
-            step, step_dt = None, 0.0
-            for dt in np.diff(grid):
-                if step is None or abs(dt - step_dt) > tol:
-                    step, step_dt = flow.expm(dt * h), dt
-                current = step @ current
-                expect.append(current)
-            got = flow.trajectory(h, x0, grid).states
-            assert np.array_equal(got, np.array(expect))
+            n = int(rng.integers(2, 60))
+            outlier = np.full(n, float(rng.uniform(0.01, 0.3)))
+            outlier[rng.integers(n)] *= float(rng.choice([0.5, 1.0 + 1e-9]))
+            # one time moved by 1.5 times the reuse tolerance
+            nudged = start + 0.1 * np.arange(n + 1)
+            nudged[rng.integers(1, n + 1)] += 6.0 * eps * np.max(np.abs(nudged))
+            for grid in (start + np.concatenate(([0.0], np.cumsum(gaps))),
+                         start + np.linspace(0.0, rng.uniform(0.5, 5.0), n),
+                         np.linspace(start, start + 3.0, n),
+                         start + np.concatenate(([0.0], np.cumsum(outlier))),
+                         nudged):
+                current = x0 if start == 0.0 else flow.expm(grid[0] * h) @ x0
+                expect = [current]
+                tol = 4.0 * eps * np.max(np.abs(grid))
+                step, step_dt = None, 0.0
+                for dt in np.diff(grid):
+                    if step is None or abs(dt - step_dt) > tol:
+                        step, step_dt = flow.expm(dt * h), dt
+                    current = step @ current
+                    expect.append(current)
+                got = flow.trajectory(h, x0, grid).states
+                assert np.array_equal(got, np.array(expect))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_first_time(self):

@@ -209,6 +209,14 @@ def test_total_summed_left_to_right(monkeypatch):
     assert (assignment, total) == min_weight_assignment_numpy(cost)
 
 
+def test_empty_value_lists_pair_at_distance_zero():
+    # max() of no distances raised a bare ValueError; the empty assignment
+    # has total 0.0
+    assert matching.min_weight_assignment(np.zeros((0, 0))) == ([], 0.0)
+    assert matching.pair_values([], []) == ([], 0.0)
+    assert matching.matched_distance([], []) == 0.0
+
+
 def test_pair_values_of_a_matrix_refused():
     # a 2-D value array used to reach the assignment as a (2, 2, 2) cost
     with pytest.raises(DimensionMismatch, match="values must form a list"):

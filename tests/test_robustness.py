@@ -572,6 +572,14 @@ class TestContinuity:
             robustness.continuity_check(np.diag([1e308, 1.0]),
                                         [np.diag([-1e308, 1.0])])
 
+    def test_eigenvalues_past_float_range_refused(self):
+        # eigenvalues +-sqrt(2)*1.7e308 are inf; the matching refused them as
+        # non-finite costs, which the caller never gave
+        a = [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]
+        with pytest.raises(ValueError,
+                           match="^eigenvalues exceed the float range$"):
+            robustness.continuity_check(a, [a])
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             robustness.continuity_check(np.eye(2), [np.eye(3)])
