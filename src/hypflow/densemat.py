@@ -26,6 +26,14 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
     return x
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a Python int, refused unless an integer >= ``least``.
+    The ValueError names ``name``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 def as_matrix(a, dtype=float) -> np.ndarray:
     """Validate and return a square matrix as an array copy of ``dtype``.
 

@@ -181,7 +181,9 @@ def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def flow_map(h, t: float, x0) -> np.ndarray:
-    """Evaluate e^{tH} x0."""
+    """Evaluate e^{tH} x0 at the single time ``t``."""
+    if np.size(t) != 1:
+        raise ValueError("t must be a single time")
     m = densemat.as_matrix(h)
     return _advance(m, _state(x0, m.shape[0]), _grid(t))[0]
 
@@ -290,8 +292,7 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
     m = verdict.matrix
     if m.shape[0] != 2:
         raise UnsupportedDimension("portraits are only drawn for 2x2 matrices")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = densemat._count(steps, "steps", 1)
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise NonAscendingGrid("t_range must satisfy t0 < t1")

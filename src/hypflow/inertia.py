@@ -86,24 +86,29 @@ class Verdict:
 
 
 def _tolerance(a, norm: float) -> float:
-    """1e-9 * (1 + norm) for the finite matrix ``a`` of 2-norm ``norm``.
+    """1e-9 * (1 + norm) for the finite, real or complex matrix ``a`` of
+    2-norm ``norm``.
 
-    Where the norm passes the float range, the same value is formed as
+    Where the norm passes the float range (LAPACK gives nan for a complex
+    entry of modulus past it), the same value is formed as
     2**e * 1e-9 * (2**-e + ||2**-e A||_2), with A scaled by an exact power
-    of two to entries below 1 (as ``spectral.eigenvalues`` scales its
-    residual bound), so that every finite matrix gets a finite tau.
+    of two to entries whose real and imaginary parts are below 1 (as
+    ``spectral.eigenvalues`` scales its residual bound), so that every
+    finite matrix gets a finite tau. The scaling multiplies by 2**-e, which
+    gives np.ldexp's bits on real entries and keeps the imaginary parts of
+    complex ones.
     """
     if norm < math.inf:
         return 1e-9 * (1.0 + norm)
-    m = np.asarray(a, dtype=float)
-    e = math.frexp(float(np.abs(m).max()))[1]
-    scaled = densemat.op_norm2(np.ldexp(m, -e))
+    m = np.asarray(a)
+    e = math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
+    scaled = densemat.op_norm2(m * 2.0 ** -e)
     return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
 
 
 def default_tolerance(a) -> float:
     """Relative axis tolerance 1e-9 * (1 + ||A||_2), finite for every
-    finite A."""
+    finite real or complex A."""
     return _tolerance(a, densemat.op_norm2(a))
 
 

@@ -5,6 +5,9 @@ questions are answered by finding the permutation that minimizes the total
 pairwise distance. The Hungarian algorithm (potentials + augmenting paths,
 O(n^3)) is plenty at the matrix sizes this package targets; it runs on
 nested lists of Python floats, which index faster than numpy scalars.
+Near the float maximum it runs on the costs divided by an exact power of
+two. ``min_weight_assignment`` refuses only a total past the float range;
+``pair_values`` forms no total and refuses only a matched distance past it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 
 import numpy as np
 
+from . import densemat
 from .errors import DimensionMismatch
 
 _INF = float("inf")
@@ -69,28 +73,28 @@ def _hungarian(rows: list, n: int) -> list[int]:
     return assignment
 
 
+def _scale(peak: float, n: int) -> float:
+    """The power of two that _hungarian's n x n costs, of largest |cost|
+    ``peak``, are divided by. The potentials and reduced costs stay within
+    (4n + 2) times ``peak``; past _MAX / (4n + 2) the loop runs on the
+    costs divided by 2 ** (4n + 2).bit_length(), which makes the same
+    comparisons without overflow."""
+    return 1.0 if peak <= _MAX / (4 * n + 2) else 2.0 ** (4 * n + 2).bit_length()
+
+
 def min_weight_assignment(cost) -> tuple[list[int], float]:
-    """Solve the square assignment problem for a cost matrix.
+    """Solve the square assignment problem for a real, finite cost matrix.
 
     Returns (assignment, total) where assignment[i] is the column matched to
     row i and total is the summed cost of the matching. Raises ValueError
     when that total leaves the float range.
     """
-    c = np.asarray(cost, dtype=float)
+    c = densemat._entries(cost, "cost")
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"cost matrix must be square, got {c.shape}")
-    # an inf or nan reduced cost is never the least, so no column is chosen
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
     n = c.shape[0]
-    # The potentials and reduced costs stay within (4n + 2) times the
-    # largest |cost|. Near the float maximum they run on the costs divided
-    # by a power of two, which makes the same comparisons without overflow.
-    scale = 1.0
-    if np.abs(c).max(initial=0.0) > _MAX / (4 * n + 2):
-        scale = 2.0 ** (4 * n + 2).bit_length()
-        c = c / scale
-    rows = c.tolist()
+    scale = _scale(float(np.abs(c).max(initial=0.0)), n)
+    rows = (c / scale).tolist()
     assignment = _hungarian(rows, n)
     # left to right, on every Python: from 3.12 sum() over floats is
     # compensated, which can give another total
@@ -104,54 +108,44 @@ def min_weight_assignment(cost) -> tuple[list[int], float]:
 
 
 def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:
-    """``pair_values(avs[k], bv)`` for each row k of the complex (B, n)
-    stack ``avs``, as (perms, max_distances); all B cost matrices come from
-    one broadcast."""
+    """``pair_values(avs[k], bv)`` for each row k of the finite complex
+    (B, n) stack ``avs``, as (perms, max_distances); all B cost matrices
+    come from one broadcast."""
     n = bv.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         costs = np.abs(avs[:, :, None] - bv)
-        peaks = costs.max(axis=(1, 2), initial=0.0).tolist()
-    limit = _MAX / (4 * n + 2)
+    peaks = costs.max(axis=(1, 2), initial=0.0).tolist()
     perms, dists = [], []
-    for k, cost in enumerate(costs.tolist()):
-        # below the limit min_weight_assignment would not scale (a nan
-        # peak fails the test too)
-        if peaks[k] <= limit:
-            perm = _hungarian(cost, n)
-            dist = max((cost[i][perm[i]] for i in range(n)), default=0.0)
-        else:
-            perm, dist = _pair_near_max(avs[k], bv, costs[k])
+    for k, (cost, peak) in enumerate(zip(costs.tolist(), peaks)):
+        # a distance between finite values overflows only past the float
+        # maximum; such a row is paired at an exact quarter scale
+        quarter = 1.0
+        if peak == _INF:
+            quarter = 4.0
+            cost = np.abs(avs[k, :, None] / 4.0 - bv / 4.0)
+            peak = float(cost.max())
+            cost = cost.tolist()
+        scale = _scale(peak, n)
+        rows = cost if scale == 1.0 else [[x / scale for x in row] for row in cost]
+        perm = _hungarian(rows, n)
+        dist = max((cost[i][perm[i]] for i in range(n)), default=0.0) * quarter
+        if dist == _INF:
+            raise ValueError("matched distance exceeds the float range")
         perms.append(perm)
         dists.append(dist)
     return perms, dists
 
 
-def _pair_near_max(av: np.ndarray, bv: np.ndarray,
-              cost: np.ndarray) -> tuple[list[int], float]:
-    """``pair_values`` where a distance passes _MAX / (4n + 2) or is not
-    finite."""
-    # a distance between finite values overflows only past the float
-    # maximum; pair those values at an exact quarter scale. A non-finite
-    # value is refused by min_weight_assignment.
-    scale = 1.0
-    if np.isinf(cost).any() and np.isfinite(av).all() and np.isfinite(bv).all():
-        scale = 4.0
-        cost = np.abs(av[:, None] / scale - bv[None, :] / scale)
-    perm, _ = min_weight_assignment(cost)
-    max_dist = float(max(cost[i][perm[i]] for i in range(len(av)))) * scale
-    if math.isinf(max_dist):
-        raise ValueError("matched distance exceeds the float range")
-    return perm, max_dist
-
-
 def pair_values(a, b) -> tuple[list[int], float]:
-    """Optimally pair two equal-length complex value lists.
+    """Optimally pair two equal-length lists of finite complex values.
 
     Returns (perm, max_distance): perm[i] is the index in ``b`` matched to
-    ``a[i]`` and max_distance is the largest matched modulus distance.
+    ``a[i]`` and max_distance is the largest matched modulus distance. The
+    pairing's total is not formed; a matched distance past the float range
+    raises ValueError.
     """
-    av = np.atleast_1d(np.asarray(a, dtype=complex))
-    bv = np.atleast_1d(np.asarray(b, dtype=complex))
+    av = np.atleast_1d(densemat._entries(a, "value", complex))
+    bv = np.atleast_1d(densemat._entries(b, "value", complex))
     if av.shape != bv.shape:
         raise DimensionMismatch(
             f"cannot pair {len(av)} values with {len(bv)} values"

@@ -130,7 +130,7 @@ def hyperbolize(a, tau: float | None = None,
     case any positive eps works and eps_cap is used). eps_cap defaults to
     max(1, 10*tau), so that it clears the relative tolerance band of a large
     matrix. Raises ShiftTooSmall if the computed eps does not clear the
-    tolerance band.
+    tolerance band, and ValueError if A + eps*I passes the float range.
     """
     if eps_cap is not None and not 0 < eps_cap < math.inf:
         raise ValueError("eps_cap must be finite and > 0")
@@ -146,8 +146,12 @@ def hyperbolize(a, tau: float | None = None,
         raise ShiftTooSmall(
             f"shift {eps:.3e} does not clear the tolerance band {tau:.3e}"
         )
-    return HyperbolizeResult(epsilon=eps, shifted=m + eps * np.eye(m.shape[0]),
-                             delta=delta)
+    with np.errstate(over="ignore"):
+        shifted = m + eps * np.eye(m.shape[0])
+    if not np.isfinite(shifted).all():
+        raise ValueError("shifted matrix entries must be finite: "
+                         "A + eps*I passes the float range")
+    return HyperbolizeResult(epsilon=eps, shifted=shifted, delta=delta)
 
 
 def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
@@ -315,13 +319,6 @@ def _streams(seed: int, block: range):
             for w in _pcg64_words(seeds))
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as a Python int, refused unless an integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
-    return int(value)
-
-
 def perturb_campaign(h, samples: int, radius: float, seed: int,
                      tau: float | None = None) -> CampaignReport:
     """Count inertia flips over seeded random perturbations of norm <= radius.
@@ -344,10 +341,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
 def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
     """``perturb_campaign`` around the matrix that ``verdict`` classified."""
-    samples = _count(samples, "samples", 1)
+    samples = densemat._count(samples, "samples", 1)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be finite and > 0")
-    seed = _count(seed, "seed", 0)
+    seed = densemat._count(seed, "seed", 0)
     if not verdict.is_hyperbolic:
         raise NotHyperbolic(f"base matrix classified as {verdict.kind}")
     m, base, tau = verdict.matrix, verdict.inertia, verdict.inertia.tau
@@ -363,8 +360,8 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             frac[j] = 1.0 - rng.random()
         norm_g = densemat._singular_values(g)[:, 0]
         drawn = np.flatnonzero(norm_g)
-        e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
         with np.errstate(over="ignore"):
+            e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
             perturbed = m + e
         if not np.isfinite(perturbed).all():
             raise ValueError("perturbed matrix entries must be finite: "
@@ -484,6 +481,7 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
         raise InvalidClass(f"inconsistent class (s={cls.s}, u={cls.u}, d={cls.d})")
     if not 1.0 <= conditioning < math.inf:
         raise ValueError("conditioning must be finite and >= 1")
+    seed = densemat._count(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     d = cls.d
     core = np.zeros((d, d))
@@ -600,8 +598,8 @@ def run_suite(name: str, seed: int = 1, trials: int | None = None) -> SuiteResul
         raise ValueError(f"unknown suite '{name}' "
                          f"(known: {', '.join(sorted(SUITES))})")
     trial, default = SUITES[name]
-    seed = _count(seed, "seed", 0)
-    trials = _count(default if trials is None else trials, "trials", 1)
+    seed = densemat._count(seed, "seed", 0)
+    trials = densemat._count(default if trials is None else trials, "trials", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     passed = 0
     worst = 0.0

@@ -301,6 +301,17 @@ class TestPerturb:
         assert err == ("error: perturbed matrix entries must be finite: "
                        "A + E passes the float range\n")
 
+    def test_direction_scale_beyond_float_range_exit_1(self, capsys, tmp_path):
+        # radius / ||G|| overflowed, and "overflow encountered in divide"
+        # was printed before the error line
+        path = write_fixture(tmp_path, "edge.json", [[1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "perturb", path, "--samples", "50")
+        assert (code, out) == (1, "")
+        assert err == ("error: perturbed matrix entries must be finite: "
+                       "A + E passes the float range\n")
+
     def test_zero_samples_usage_error(self, capsys, saddle):
         code, _, err = run(capsys, "perturb", saddle, "--samples", "0")
         assert code == 1

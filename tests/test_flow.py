@@ -174,6 +174,12 @@ class TestFlowMap:
         with pytest.raises(DimensionMismatch):
             flow.flow_map(np.eye(2), 1.0, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("t", [[0.0, 1.0], [1.0, 0.0], [], [[1.0, 2.0]]])
+    def test_time_grid_refused(self, t):
+        # [0, 1] returned the state at t = 0 and dropped t = 1
+        with pytest.raises(ValueError, match="^t must be a single time$"):
+            flow.flow_map(np.eye(2), t, [1.0, 0.0])
+
 
 class TestTrajectory:
     def test_uniform_grid_matches_closed_form(self):
@@ -324,6 +330,10 @@ class TestTrajectory:
             flow.trajectory([[0.0]], [1.0], np.array([0, 1 + 1j]))
         with pytest.raises(ValueError, match="^time grid entries must be real$"):
             flow.flow_map([[0.0]], 1j, [1.0])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(NonAscendingGrid, match="^time grid must be nonempty$"):
+            flow.trajectory(np.eye(2), [1.0, 1.0], [])
 
     def test_descending_grid_rejected(self):
         with pytest.raises(NonAscendingGrid):
@@ -602,3 +612,22 @@ class TestPortrait:
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimension):
             flow.portrait(np.eye(3), circle_points(4), (0.0, 1.0), 10)
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, np.float64(10.0), "10"])
+    def test_bad_steps_refused(self, steps):
+        # 2.5 died with a bare TypeError from linspace
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1$"):
+            flow.portrait(np.diag([-1.0, 2.0]), circle_points(2), (0.0, 1.0),
+                          steps)
+
+    @pytest.mark.parametrize("t_range", [(1.0, 1.0), (1.0, 0.0)])
+    def test_empty_time_range_refused(self, t_range):
+        with pytest.raises(NonAscendingGrid,
+                           match="^t_range must satisfy t0 < t1$"):
+            flow.portrait(np.diag([-1.0, 2.0]), circle_points(2), t_range, 10)
+
+    def test_no_start_points_draws_the_subspaces_alone(self):
+        svg = flow.portrait(np.diag([-1.0, 2.0]), [], (0.0, 1.0), 10)
+        assert svg.count("<line") == 2
+        assert parse_polylines(svg) == []
+        assert parse_meta(svg)[:3] == (1, 1, 2)

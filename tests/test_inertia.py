@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,22 @@ class TestClassify:
         assert v.inertia.tau == pytest.approx(
             2e-9 * densemat.op_norm2(a / 2), rel=1e-12)
         assert inertia.default_tolerance(a) == v.inertia.tau
+
+    def test_complex_norm_beyond_float_range_keeps_imaginary_parts(self):
+        # the scaled route cast A to float: it dropped the imaginary parts
+        # with a ComplexWarning and took the norm of [[0, 1.7e308], [0, 1e308]]
+        a = np.array([[1e308j, 1.7e308], [0.0, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = inertia.default_tolerance(a)
+        assert tau == pytest.approx(2e-9 * densemat.op_norm2(a / 2), rel=1e-12)
+        assert tau > 2e-9 * densemat.op_norm2(a.real / 2) * (1 + 1e-6)
+        # the modulus 2.4e308 passes the float range, and the norm was nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = inertia.default_tolerance(np.array([[1.7e308 + 1.7e308j]]))
+        assert tau == pytest.approx(1e-9 * abs(0.85e308 + 0.85e308j) * 2,
+                                    rel=1e-12)
 
     def test_eigenvalues_beyond_float_range_refused(self):
         # every entry is finite, but the eigenvalues are +-2.4e308: they came

@@ -69,6 +69,18 @@ def test_nonsquare_cost_rejected():
         matching.min_weight_assignment(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("cost", [np.array([[1 + 5j, 2], [3, 4]]),
+                                  [[1 + 5j, 2], [3, 4]]],
+                         ids=["array", "list"])
+def test_complex_costs_refused(cost):
+    # the array lost its imaginary parts with a ComplexWarning and was
+    # assigned as [[1, 2], [3, 4]]; the list died with a bare TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^cost entries must be real$"):
+            matching.min_weight_assignment(cost)
+
+
 def run_apart(call):
     """stdout of ``call`` (or of the ValueError it raises) in a fresh
     interpreter that turns warnings into errors; a hang fails the test."""
@@ -90,11 +102,15 @@ def run_apart(call):
      "matched distance exceeds the float range"),
     ("robustness.continuity_check([[1e308]], [[[-1e308]]])",
      "matrix entries must be finite"),
-], ids=["nan_cost", "overflowing_distance", "overflowing_continuity"])
+    ("matching.pair_values([1.0, float('nan')], [0.0, 1.0])",
+     "value entries must be finite"),
+], ids=["nan_cost", "overflowing_distance", "overflowing_continuity",
+        "nan_value"])
 def test_non_finite_cost_refused_promptly(call, message):
     # an inf or nan cost never selects a column, so the Hungarian loop spun
     # forever; run apart to survive a hang. The distance 2e308 used to be
-    # refused as a cost entry, which the caller never gave.
+    # refused as a cost entry, which the caller never gave, and so was a
+    # nan value.
     assert run_apart(call) == message + "\n"
 
 
@@ -162,9 +178,57 @@ def test_pair_values_near_max():
         a = [1e308 + 1e308j, -1e308]
         b = [-1e308 + 1e307j, 1e308 + 9e307j]
         perm, dist = matching.pair_values(a, b)
+        # an unused assignment total of 2e308 refused this pairing
+        assert (matching.pair_values([1e308, -1e308], [0.0, 0.0])
+                == ([0, 1], 1e308))
     assert perm == [1, 0]
     assert dist == pytest.approx(max(abs(a[0] - b[1]), abs(a[1] - b[0])),
                                  rel=1e-15)
+
+
+def optimal_pairings(a, b):
+    """Every pairing of the values a and b (n <= 5) whose summed distance,
+    taken at an exact 64th (where five distances of complex values sum
+    below the float maximum), is least up to rounding; each as (perm,
+    largest distance at a 64th)."""
+    cost = np.abs(np.asarray(a)[:, None] / 64.0
+                  - np.asarray(b)[None, :] / 64.0).tolist()
+    n = len(a)
+    perms = [(p, [cost[i][p[i]] for i in range(n)])
+             for p in itertools.permutations(range(n))]
+    best = min(sum(d) for _, d in perms)
+    return [(list(p), max(d)) for p, d in perms
+            if sum(d) <= best * (1.0 + 1e-12)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5),
+       parts=st.sampled_from(["real", "complex"]))
+def test_near_max_pairing_matches_brute_force(seed, n, parts):
+    rng = np.random.default_rng(seed)
+    top = np.finfo(float).max
+
+    def draw():
+        v = rng.uniform(-1.0, 1.0, n) * top
+        if parts == "complex":
+            v = v + 1j * rng.uniform(-1.0, 1.0, n) * top
+        return v
+
+    a, b = draw(), draw()
+    best = optimal_pairings(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            perm, dist = matching.pair_values(a, b)
+        except ValueError as exc:
+            # refused only when a least pairing, the one chosen among ties,
+            # matches two values more than the float maximum apart
+            assert str(exc) == "matched distance exceeds the float range"
+            assert any(peak > top / 64.0 for _, peak in best)
+            return
+    peaks = {tuple(p): peak for p, peak in best}
+    assert tuple(perm) in peaks
+    assert dist == pytest.approx(64.0 * peaks[tuple(perm)], rel=1e-15)
 
 
 def square(entries):

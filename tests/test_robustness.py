@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestHyperbolize:
     def test_shift_too_small(self):
         with pytest.raises(ShiftTooSmall):
             robustness.hyperbolize(np.zeros((2, 2)), tau=1e-3, eps_cap=1e-6)
+
+    def test_shift_beyond_float_range_refused(self):
+        # tau is about 1.8e299, so no eps that clears it keeps the sum finite;
+        # the shifted matrix came back with an inf entry after "overflow
+        # encountered in add"
+        a = np.array([[np.finfo(float).max, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^shifted matrix entries must "
+                               r"be finite: A \+ eps\*I passes the float range$"):
+                robustness.hyperbolize(a)
 
     def test_density_construction_sweep(self):
         result = robustness.run_suite("density", seed=7, trials=120)
@@ -362,6 +374,10 @@ class TestPerturbCampaign:
         h = np.diag([-1e306, 1.79e308])
         with pytest.raises(ValueError, match="A \\+ E passes the float range"):
             robustness.perturb_campaign(h, 300, 2e306, 5, 1e298)
+        # the direction's scale radius / ||G|| overflowed too, with
+        # "overflow encountered in divide"
+        with pytest.raises(ValueError, match="A \\+ E passes the float range"):
+            robustness.perturb_campaign([[1.7e308]], 50, 1.5e308, 0)
 
     def test_numpy_integers_reported_as_python_ints(self):
         # a np.uint64 seed was kept as np.uint64
@@ -519,6 +535,9 @@ class TestContinuity:
         assert report.max_mismatch == [0.0, 0.5e308]
         assert report.pairings == [[0, 1], [0, 1]]
         assert report.monotone_tail
+        # an unused assignment total of 2e308 refused this pairing
+        report = robustness.continuity_check(np.zeros((2, 2)), [h])
+        assert (report.pairings, report.max_mismatch) == ([[0, 1]], [1e308])
 
     def test_constant_sequence(self):
         h = np.diag([-1.0, 2.0])
@@ -604,7 +623,8 @@ class TestContinuity:
         seq = [np.round(h) + k * np.eye(3) for k in range(1, 5)]
         report = robustness.continuity_check(h, seq)
         for form in (np.array(seq), iter(seq), [x.tolist() for x in seq],
-                     [x.astype(int) for x in seq]):
+                     [x.astype(int) for x in seq],
+                     [x.astype(object) for x in seq]):
             other = robustness.continuity_check(h, form)
             assert other.pairings == report.pairings
             assert other.max_mismatch == report.max_mismatch
@@ -649,6 +669,13 @@ class TestGenerate:
     def test_invalid_class(self):
         with pytest.raises(InvalidClass):
             robustness.generate(ConjugacyClass(2, 2, 3), 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3"])
+    def test_bad_seed_refused(self, seed):
+        # -1 failed in numpy with "expected non-negative integer", 1.5 with a
+        # bare TypeError
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            robustness.generate(ConjugacyClass(1, 1, 2), 1.0, seed)
 
     def test_conditioning_validated(self):
         # nan and inf used to give an all-nan matrix

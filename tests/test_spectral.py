@@ -188,6 +188,12 @@ class TestSigmaMin:
         assert spectral.sigma_min(m) == pytest.approx(1e-10, rel=1e-6)
         assert spectral.sigma_min_many(m[None]) == pytest.approx([1e-10], rel=1e-6)
 
+    @pytest.mark.parametrize("mats", [np.eye(2), np.zeros((2, 2, 3)),
+                                      np.zeros((1, 0, 0))])
+    def test_many_shape_refused(self, mats):
+        with pytest.raises(DimensionMismatch, match="expected a \\(B, d, d\\) stack"):
+            spectral.sigma_min_many(mats)
+
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
         batch = spectral.sigma_min_many(mats)
