@@ -16,7 +16,7 @@ from .inertia import (HYPERBOLIC, INDETERMINATE, NON_HYPERBOLIC,
                       ConjugacyClass, Inertia, Verdict, classify,
                       conjugacy_class, default_tolerance, inertia_of,
                       same_class)
-from .matching import matched_distance, min_weight_assignment, pair_values
+from .matching import matched_distance, pair_values
 from .robustness import (CampaignReport, ContinuityReport, HyperbolizeResult,
                          MarginResult, continuity_check, generate,
                          hyperbolize, margin, perturb_campaign, vieta_check)
@@ -32,7 +32,7 @@ __all__ = [
     "UnsupportedDimension", "FlowOverflow",
     "Spectrum", "CharPoly", "eigenvalues", "char_poly", "poly_roots",
     "sigma_min",
-    "min_weight_assignment", "pair_values", "matched_distance",
+    "pair_values", "matched_distance",
     "Inertia", "ConjugacyClass", "Verdict", "HYPERBOLIC", "NON_HYPERBOLIC",
     "INDETERMINATE", "classify", "conjugacy_class", "default_tolerance",
     "inertia_of", "same_class",

@@ -9,6 +9,9 @@ operator 2-norm (largest singular value).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -16,8 +19,13 @@ from .errors import DimensionMismatch
 
 def _entries(a, what: str, dtype=float) -> np.ndarray:
     """``a`` as an array copy of ``dtype`` with finite entries; a float
-    ``dtype`` also refuses complex ones. The ValueError names ``what``."""
+    ``dtype`` also refuses complex ones. Strings, None and other non-numbers
+    are refused, in an object array too. The ValueError names ``what``."""
     x = np.asarray(a)
+    if x.dtype.kind not in "biufc":
+        if x.dtype.kind != "O" or not all(
+                isinstance(v, (numbers.Number, np.bool_)) for v in x.flat):
+            raise ValueError(f"{what} entries must be numbers")
     if dtype is float and np.iscomplexobj(x):
         raise ValueError(f"{what} entries must be real")
     x = np.array(x, dtype=dtype)
@@ -62,6 +70,23 @@ def det(a) -> float:
     return float(np.linalg.det(as_matrix(a)))
 
 
+def _matrix_singular_values(m: np.ndarray) -> np.ndarray:
+    """``_singular_values`` of one finite complex matrix.
+
+    LAPACK's SVD gives nan where an entry's modulus passes the float range;
+    then the values are those of 2**-e M, with 2**-e taking every real and
+    imaginary part below 1 (the scaling of ``inertia._tolerance``), scaled
+    back by 2**e: inf where they pass the range.
+    """
+    s = _singular_values(m)
+    if np.isnan(s).any():
+        e = math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
+        with np.errstate(over="ignore"):
+            s = np.ldexp(_singular_values(m * 2.0 ** -e), e)
+    return s
+
+
 def op_norm2(a) -> float:
-    """Operator 2-norm: the largest singular value of A, by LAPACK SVD."""
-    return float(_singular_values(as_matrix(a, complex))[0])
+    """Operator 2-norm: the largest singular value of A, by LAPACK SVD;
+    inf where it passes the float range."""
+    return float(_matrix_singular_values(as_matrix(a, complex))[0])

@@ -89,8 +89,7 @@ def _tolerance(a, norm: float) -> float:
     """1e-9 * (1 + norm) for the finite, real or complex matrix ``a`` of
     2-norm ``norm``.
 
-    Where the norm passes the float range (LAPACK gives nan for a complex
-    entry of modulus past it), the same value is formed as
+    Where the norm passes the float range, the same value is formed as
     2**e * 1e-9 * (2**-e + ||2**-e A||_2), with A scaled by an exact power
     of two to entries whose real and imaginary parts are below 1 (as
     ``spectral.eigenvalues`` scales its residual bound), so that every

@@ -6,13 +6,11 @@ pairwise distance. The Hungarian algorithm (potentials + augmenting paths,
 O(n^3)) is plenty at the matrix sizes this package targets; it runs on
 nested lists of Python floats, which index faster than numpy scalars.
 Near the float maximum it runs on the costs divided by an exact power of
-two. ``min_weight_assignment`` refuses only a total past the float range;
-``pair_values`` forms no total and refuses only a matched distance past it.
+two. ``pair_values`` forms no total and refuses only a matched distance
+past the float range.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -80,31 +78,6 @@ def _scale(peak: float, n: int) -> float:
     costs divided by 2 ** (4n + 2).bit_length(), which makes the same
     comparisons without overflow."""
     return 1.0 if peak <= _MAX / (4 * n + 2) else 2.0 ** (4 * n + 2).bit_length()
-
-
-def min_weight_assignment(cost) -> tuple[list[int], float]:
-    """Solve the square assignment problem for a real, finite cost matrix.
-
-    Returns (assignment, total) where assignment[i] is the column matched to
-    row i and total is the summed cost of the matching. Raises ValueError
-    when that total leaves the float range.
-    """
-    c = densemat._entries(cost, "cost")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatch(f"cost matrix must be square, got {c.shape}")
-    n = c.shape[0]
-    scale = _scale(float(np.abs(c).max(initial=0.0)), n)
-    rows = (c / scale).tolist()
-    assignment = _hungarian(rows, n)
-    # left to right, on every Python: from 3.12 sum() over floats is
-    # compensated, which can give another total
-    total = 0.0
-    for i, j in enumerate(assignment):
-        total += rows[i][j]
-    total *= scale
-    if math.isinf(total):
-        raise ValueError("assignment total exceeds the float range")
-    return assignment, total
 
 
 def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:

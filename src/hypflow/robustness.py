@@ -332,8 +332,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     SeedSequence would give them (short blocks and seeds >= 2**64 use
     SeedSequence itself), one stacked SVD gives the directions' norms and
     one stacked eigenvalue call the perturbed spectra, with the same
-    per-matrix arithmetic as one call per sample. A perturbed matrix
-    A + E that passes the float range raises ValueError.
+    per-matrix arithmetic as one call per sample. A block in which some
+    A + E passes the float range is counted on 2**-x A + 2**-x E against
+    2**-x tau, with 2**-x taking A's entries and the radius below 1; its
+    witnesses are scaled back.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
@@ -363,12 +365,19 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         with np.errstate(over="ignore"):
             e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
             perturbed = m + e
+        level = tau
         if not np.isfinite(perturbed).all():
-            raise ValueError("perturbed matrix entries must be finite: "
-                             "A + E passes the float range")
+            # count on 2**-x A + 2**-x E against 2**-x tau, which has the
+            # same inertias, with 2**-x taking A and the radius below 1
+            x = math.frexp(max(float(np.abs(m).max()), radius))[1]
+            e = g[drawn] * (math.ldexp(radius, -x) * frac[drawn]
+                            / norm_g[drawn])[:, None, None]
+            perturbed = np.ldexp(m, -x) + e
+            level = math.ldexp(tau, -x)
+            e = np.ldexp(e, x)
         re = spectral.eigenvalues_many(perturbed).real
-        flipped = np.flatnonzero(((re < -tau).sum(axis=1) != base.s)
-                                 | ((re > tau).sum(axis=1) != base.u))
+        flipped = np.flatnonzero(((re < -level).sum(axis=1) != base.s)
+                                 | ((re > level).sum(axis=1) != base.u))
         flips += flipped.size
         for j in flipped[:10 - len(witnesses)]:
             witnesses.append((start + int(drawn[j]), e[j].copy()))

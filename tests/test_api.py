@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,15 @@ PUBLIC = [
     "as_matrix", "char_poly", "classify", "conjugacy_class",
     "continuity_check", "default_tolerance", "det", "eigenvalues", "expm",
     "expm_many", "flow_map", "generate", "hyperbolize", "inertia_of",
-    "margin", "matched_distance", "min_weight_assignment", "op_norm2",
-    "pair_values", "perturb_campaign", "poly_roots", "portrait",
-    "same_class", "sigma_min", "splitting", "trajectory", "vieta_check",
+    "margin", "matched_distance", "op_norm2", "pair_values",
+    "perturb_campaign", "poly_roots", "portrait", "same_class", "sigma_min",
+    "splitting", "trajectory", "vieta_check",
 ]
 
 
 def test_public_surface_is_pinned():
     assert sorted(hypflow.__all__) == PUBLIC
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 50
     for name in PUBLIC:
         assert hasattr(hypflow, name), name
 
@@ -58,6 +59,32 @@ def test_complex_matrix_refused(name):
             REAL_MATRIX_CALLS[name](a)
 
 
+NON_NUMBERS = {
+    "pair_values": (lambda: hypflow.pair_values(["a"], ["b"]), "value"),
+    "string_matrix": (lambda: hypflow.as_matrix([["a"]]), "matrix"),
+    "numeric_string": (lambda: hypflow.as_matrix([["1.5"]]), "matrix"),
+    "bytes": (lambda: hypflow.as_matrix([[b"1"]]), "matrix"),
+    "none": (lambda: hypflow.classify([[None]]), "matrix"),
+    "object_string": (lambda: hypflow.as_matrix(
+        np.array([[1.0, "2"], [3.0, 4.0]], dtype=object)), "matrix"),
+    "stack": (lambda: hypflow.expm_many([[["0"]]]), "matrix"),
+    "x0": (lambda: hypflow.trajectory(np.eye(1), ["2"], [0.0, 1.0]), "x0"),
+    "time_grid": (lambda: hypflow.trajectory(np.eye(1), [2.0], ["0", "1"]),
+                  "time grid"),
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMBERS)
+def test_non_number_entries_refused(name):
+    # strings leaked numpy's conversion message, numeric strings were
+    # converted, and None was refused as not finite
+    call, what = NON_NUMBERS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{what} entries must be numbers$"):
+            call()
+
+
 def test_import_leaves_random_and_scipy_unloaded():
     # hypflow's import time is every command's start-up cost: numpy.random
     # loads on a first seeded request, and scipy is not a dependency
@@ -71,24 +98,54 @@ def test_import_leaves_random_and_scipy_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def _eigvals_sites(tree, where=()):
-    """The enclosing function names of each mention of ``eigvals``."""
+# One implementation per kernel: each numpy.linalg routine the package calls,
+# with the functions that call it. A new call site has to change this table.
+LINALG_SITES = {
+    "eigvals": [("spectral", ("eigenvalues_many",))],
+    "svd": [("densemat", ("_singular_values",)), ("flow", ("_split",))],
+    "det": [("densemat", ("det",))],
+    "solve": [("flow", ("expm_many",))],
+    "inv": [("flow", ("_split",))],
+    "slogdet": [("flow", ("_split",))],
+    "qr": [("robustness", ("_random_orthogonal",))],
+}
+
+
+def _linalg_names(tree, where=()):
+    """(routine, enclosing function names) of each numpy.linalg routine
+    named in ``tree``, as an attribute of ``linalg`` or imported from it."""
     for node in ast.iter_child_nodes(tree):
         inner = where
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = where + (node.name,)
-        if ((isinstance(node, ast.Attribute) and node.attr == "eigvals")
-                or (isinstance(node, ast.Name) and node.id == "eigvals")
-                or (isinstance(node, ast.alias) and node.name == "eigvals")):
-            yield where
-        yield from _eigvals_sites(node, inner)
+        if (isinstance(node, ast.Attribute) and node.attr[:1].islower()
+                and ((isinstance(node.value, ast.Attribute)
+                      and node.value.attr == "linalg")
+                     or (isinstance(node.value, ast.Name)
+                         and node.value.id == "linalg"))):
+            yield node.attr, where
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("linalg")):
+            for alias in node.names:
+                yield alias.name, where
+        yield from _linalg_names(node, inner)
 
 
-def test_one_eigenvalue_kernel():
-    # one implementation per kernel: every eigenvalue computation in the
-    # package goes through spectral.eigenvalues_many
-    sites = []
+def _linalg_sites() -> dict:
+    sites = {}
     for path in sorted(Path(hypflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        sites += [(path.stem, where) for where in _eigvals_sites(tree)]
-    assert sites == [("spectral", ("eigenvalues_many",))]
+        for routine, where in _linalg_names(tree):
+            sites.setdefault(routine, []).append((path.stem, where))
+    return sites
+
+
+def test_every_linalg_routine_listed():
+    assert sorted(_linalg_sites()) == sorted(LINALG_SITES)
+
+
+@pytest.mark.parametrize("routine", LINALG_SITES)
+def test_one_site_per_linalg_routine(routine):
+    # every eigenvalue computation in the package goes through
+    # spectral.eigenvalues_many, and each other routine has its own sites
+    assert _linalg_sites().get(routine) == LINALG_SITES[routine]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,14 @@ def test_op_norm2_accuracy_vs_svd(rng):
         a = rng.standard_normal((d, d))
         ref = float(np.linalg.svd(a, compute_uv=False)[0])
         assert densemat.op_norm2(a) == pytest.approx(ref, rel=1e-10)
+
+
+def test_op_norm2_modulus_beyond_float_range():
+    # LAPACK's SVD gave nan, with no warning, for an entry whose modulus
+    # passes the float range though both of its parts are finite; a real
+    # matrix whose norm overflows gives inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert densemat.op_norm2(np.array([[1.7e308 + 1.7e308j]])) == np.inf
+        assert densemat.op_norm2([[1.3e308 + 1.3e308j, 0.0], [0.0, 1.0]]) == np.inf
+        assert densemat.op_norm2([[1.7e308] * 2] * 2) == np.inf

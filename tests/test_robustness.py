@@ -367,17 +367,39 @@ class TestPerturbCampaign:
             robustness.perturb_campaign(np.diag([-1.0, 2.0]), samples, 0.1,
                                         seed)
 
-    def test_sum_beyond_float_range_refused(self):
-        # A + E passes the float range in the (1, 1) entry for some samples;
-        # the sum warned with "overflow encountered in add", and the refusal
-        # named the matrix entries, which are finite
-        h = np.diag([-1e306, 1.79e308])
-        with pytest.raises(ValueError, match="A \\+ E passes the float range"):
-            robustness.perturb_campaign(h, 300, 2e306, 5, 1e298)
-        # the direction's scale radius / ||G|| overflowed too, with
-        # "overflow encountered in divide"
-        with pytest.raises(ValueError, match="A \\+ E passes the float range"):
-            robustness.perturb_campaign([[1.7e308]], 50, 1.5e308, 0)
+    def test_default_radius_near_float_max_answered(self):
+        # 0.9 * lower = 4.16e307 added to 1.7e308 passes the float range;
+        # the campaign was refused
+        h = [[1e308, 1.7e308], [0.0, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radius = 0.9 * robustness.margin(h).lower
+            report = robustness.perturb_campaign(h, 200, radius, 0)
+        assert (report.flips, report.flip_witnesses) == (0, [])
+
+    @pytest.mark.parametrize("h, samples, radius, seed, tau", [
+        # A + E passes the float range in the (1, 1) entry
+        (np.diag([-1e306, 1.79e308]), 300, 2e306, 5, 1e298),
+        # the direction's scale radius / ||G|| overflows too
+        ([[1.7e308]], 50, 1.5e308, 0, None),
+    ], ids=["sum", "direction_scale"])
+    def test_sum_beyond_float_range_answered(self, h, samples, radius, seed,
+                                             tau):
+        # both were refused with "A + E passes the float range"; now such a
+        # block is counted on 2**-1024 A + 2**-1024 E against 2**-1024 tau,
+        # which is the campaign of the scaled matrix, witnesses scaled back
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness.perturb_campaign(h, samples, radius, seed, tau)
+        base_tau = report.base_inertia.tau
+        flips, witnesses = campaign_recount(
+            np.asarray(h) * 2.0 ** -1024, samples, radius * 2.0 ** -1024,
+            seed, base_tau * 2.0 ** -1024)
+        assert report.flips == flips
+        assert len(report.flip_witnesses) == len(witnesses)
+        for (i, e), (j, scaled) in zip(report.flip_witnesses, witnesses):
+            assert i == j
+            np.testing.assert_array_equal(e, np.ldexp(scaled, 1024))
 
     def test_numpy_integers_reported_as_python_ints(self):
         # a np.uint64 seed was kept as np.uint64
@@ -444,11 +466,13 @@ class TestStackedCampaign:
             assert e.base is None
             assert e.shape == h.shape
 
-    def test_overflowing_perturbation_rejected(self):
+    def test_overflowing_perturbation_answered(self):
+        # A + E passes the float range; the campaign was refused
         h = np.diag([-1.5e308, 1.5e308])
-        with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                       match="finite"):
-            robustness.perturb_campaign(h, 20, 1.5e308, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness.perturb_campaign(h, 20, 1.5e308, seed=1)
+        assert (report.flips, report.flip_witnesses) == (0, [])
 
     def test_stacked_lapack_failure_is_nonconvergence(self, monkeypatch):
         eigvals = np.linalg.eigvals

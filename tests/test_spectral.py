@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,16 @@ class TestSigmaMin:
     def test_many_shape_refused(self, mats):
         with pytest.raises(DimensionMismatch, match="expected a \\(B, d, d\\) stack"):
             spectral.sigma_min_many(mats)
+
+    def test_modulus_beyond_float_range(self):
+        # LAPACK's SVD gave nan, with no warning, for an entry whose modulus
+        # passes the float range though both of its parts are finite
+        big = 1.7e308 + 1.7e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral.sigma_min(np.array([[big, 0], [0, 1]])) == 1.0
+            assert spectral.sigma_min(np.array([[big, 0], [0, 0.375]])) == 0.375
+            assert spectral.sigma_min(np.array([[big]])) == np.inf
 
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
