@@ -54,14 +54,35 @@ def as_matrix(a, dtype=float) -> np.ndarray:
     return m
 
 
+def _scale_exponent(m) -> int:
+    """The e for which 2**-e takes every real and imaginary part of the
+    finite, nonzero array ``m`` below 1."""
+    m = np.asarray(m)
+    return math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
+
+
 def _singular_values(ms) -> np.ndarray:
     """Descending singular values of a matrix or a (B, d, d) stack (LAPACK SVD).
 
     The SVD is complex even for real input, so that ``op_norm2`` and
     ``spectral.sigma_min_many`` share one LAPACK routine: loading the real
-    one as well costs about 0.5 MB of resident memory.
+    one as well costs about 0.5 MB of resident memory. LAPACK gives nan for
+    a finite matrix with an entry whose modulus passes the float range;
+    that matrix's values are those of 2**-e M (``_scale_exponent``) scaled
+    back by 2**e, inf where they pass the range. Every other matrix keeps
+    LAPACK's values.
     """
-    return np.linalg.svd(np.asarray(ms, dtype=complex), compute_uv=False)
+    ms = np.asarray(ms, dtype=complex)
+    s = np.linalg.svd(ms, compute_uv=False)
+    if np.isnan(s).any():
+        rows, mats = s.reshape(-1, s.shape[-1]), ms.reshape(-1, *ms.shape[-2:])
+        # a matrix with a non-finite entry keeps LAPACK's nan
+        bad = np.isnan(rows).any(axis=1) & np.isfinite(mats).all(axis=(1, 2))
+        for i in np.flatnonzero(bad):
+            e = _scale_exponent(mats[i])
+            with np.errstate(over="ignore"):
+                rows[i] = np.ldexp(_singular_values(mats[i] * 2.0 ** -e), e)
+    return s
 
 
 def det(a) -> float:
@@ -70,23 +91,7 @@ def det(a) -> float:
     return float(np.linalg.det(as_matrix(a)))
 
 
-def _matrix_singular_values(m: np.ndarray) -> np.ndarray:
-    """``_singular_values`` of one finite complex matrix.
-
-    LAPACK's SVD gives nan where an entry's modulus passes the float range;
-    then the values are those of 2**-e M, with 2**-e taking every real and
-    imaginary part below 1 (the scaling of ``inertia._tolerance``), scaled
-    back by 2**e: inf where they pass the range.
-    """
-    s = _singular_values(m)
-    if np.isnan(s).any():
-        e = math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
-        with np.errstate(over="ignore"):
-            s = np.ldexp(_singular_values(m * 2.0 ** -e), e)
-    return s
-
-
 def op_norm2(a) -> float:
     """Operator 2-norm: the largest singular value of A, by LAPACK SVD;
     inf where it passes the float range."""
-    return float(_matrix_singular_values(as_matrix(a, complex))[0])
+    return float(_singular_values(as_matrix(a, complex))[0])

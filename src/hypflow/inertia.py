@@ -100,7 +100,7 @@ def _tolerance(a, norm: float) -> float:
     if norm < math.inf:
         return 1e-9 * (1.0 + norm)
     m = np.asarray(a)
-    e = math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
+    e = densemat._scale_exponent(m)
     scaled = densemat.op_norm2(m * 2.0 ** -e)
     return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
 

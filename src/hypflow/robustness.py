@@ -332,10 +332,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     SeedSequence would give them (short blocks and seeds >= 2**64 use
     SeedSequence itself), one stacked SVD gives the directions' norms and
     one stacked eigenvalue call the perturbed spectra, with the same
-    per-matrix arithmetic as one call per sample. A block in which some
-    A + E passes the float range is counted on 2**-x A + 2**-x E against
+    per-matrix arithmetic as one call per sample. A sample whose A + E
+    passes the float range is counted on 2**-x A + 2**-x E against
     2**-x tau, with 2**-x taking A's entries and the radius below 1; its
-    witnesses are scaled back.
+    witness is scaled back.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
@@ -365,16 +365,19 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         with np.errstate(over="ignore"):
             e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
             perturbed = m + e
-        level = tau
-        if not np.isfinite(perturbed).all():
-            # count on 2**-x A + 2**-x E against 2**-x tau, which has the
-            # same inertias, with 2**-x taking A and the radius below 1
+        level = np.full((len(drawn), 1), tau)
+        over = np.flatnonzero(~np.isfinite(perturbed).all(axis=(1, 2)))
+        if over.size:
+            # count each such sample on 2**-x A + 2**-x E against 2**-x tau,
+            # which has the same inertias, with 2**-x taking A and the
+            # radius below 1
             x = math.frexp(max(float(np.abs(m).max()), radius))[1]
-            e = g[drawn] * (math.ldexp(radius, -x) * frac[drawn]
-                            / norm_g[drawn])[:, None, None]
-            perturbed = np.ldexp(m, -x) + e
-            level = math.ldexp(tau, -x)
-            e = np.ldexp(e, x)
+            k = drawn[over]
+            scaled = g[k] * (math.ldexp(radius, -x) * frac[k]
+                             / norm_g[k])[:, None, None]
+            perturbed[over] = np.ldexp(m, -x) + scaled
+            level[over] = math.ldexp(tau, -x)
+            e[over] = np.ldexp(scaled, x)
         re = spectral.eigenvalues_many(perturbed).real
         flipped = np.flatnonzero(((re < -level).sum(axis=1) != base.s)
                                  | ((re > level).sum(axis=1) != base.u))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _matrix_singular_values, _singular_values, as_matrix
+from .densemat import _singular_values, as_matrix
 from .errors import DimensionMismatch, NonConvergence
 
 _EPS = float(np.finfo(float).eps)
@@ -199,7 +199,7 @@ def poly_roots(p) -> Spectrum:
 def sigma_min(m) -> float:
     """Smallest singular value, by SVD of M itself (no Gram matrix); inf
     where it passes the float range."""
-    return float(_matrix_singular_values(as_matrix(m, complex))[-1])
+    return float(sigma_min_many(as_matrix(m, complex)[None])[0])
 
 
 def sigma_min_many(mats) -> np.ndarray:

@@ -106,18 +106,23 @@ def campaign_recount(h, samples: int, radius: float, seed: int, tau: float):
     Follows the documented recipe: sample i draws a Gaussian direction g and
     then frac = 1 - random() from PCG64(seed XOR i), skips g of norm 0, and
     counts a flip when h + g * (radius * frac / ||g||_2) has another (s, u, c)
-    than h. The norm is the largest value of numpy's complex SVD, the
-    routine op_norm2 uses; the real SVD behind np.linalg.norm(g, 2) differs
-    from it in the last bit for about a third of the draws.
+    than h. Where that sum passes the float range, the sample is counted on
+    2**-x h + g * (2**-x radius * frac / ||g||_2) against 2**-x tau, with x
+    from frexp(max(max|h|, radius)), and its witness is the scaled
+    perturbation times 2**x. The norm is the largest value of numpy's
+    complex SVD, the routine op_norm2 uses; the real SVD behind
+    np.linalg.norm(g, 2) differs from it in the last bit for about a third
+    of the draws.
     """
     h = np.asarray(h, dtype=float)
     d = h.shape[0]
+    x = math.frexp(max(float(np.abs(h).max()), radius))[1]
 
-    def counts(m):
+    def counts(m, level):
         re = np.real(np.linalg.eigvals(m))
-        return int(np.sum(re < -tau)), int(np.sum(re > tau))
+        return int(np.sum(re < -level)), int(np.sum(re > level))
 
-    base = counts(h)
+    base = counts(h, tau)
     flips = 0
     witnesses = []
     for i in range(samples):
@@ -127,8 +132,16 @@ def campaign_recount(h, samples: int, radius: float, seed: int, tau: float):
         if norm_g == 0.0:
             continue
         frac = 1.0 - rng.random()
-        e = g * (radius * frac / norm_g)
-        if counts(h + e) != base:
+        with np.errstate(over="ignore"):
+            e = g * (radius * frac / norm_g)
+            m = h + e
+        level = tau
+        if not np.isfinite(m).all():
+            scaled = g * (math.ldexp(radius, -x) * frac / norm_g)
+            m = np.ldexp(h, -x) + scaled
+            level = math.ldexp(tau, -x)
+            e = np.ldexp(scaled, x)
+        if counts(m, level) != base:
             flips += 1
             if len(witnesses) < 10:
                 witnesses.append((i, e))

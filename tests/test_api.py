@@ -111,37 +111,86 @@ LINALG_SITES = {
 }
 
 
-def _linalg_names(tree, where=()):
+def _is_linalg(node, aliases) -> bool:
+    """Whether ``node`` is ``<...>.linalg`` or a name in ``aliases``."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "linalg")
+            or (isinstance(node, ast.Name) and node.id in aliases))
+
+
+def _linalg_aliases(tree) -> set:
+    """The names bound to numpy.linalg in ``tree``, by an import or by
+    assigning it (or an alias of it) to a name."""
+    aliases = {"linalg"}
+    while True:
+        known = set(aliases)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names
+                            if a.name == "numpy.linalg" and a.asname}
+            elif isinstance(node, ast.ImportFrom):
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "linalg"}
+            elif isinstance(node, ast.Assign) and _is_linalg(node.value,
+                                                             aliases):
+                aliases |= {t.id for t in node.targets
+                            if isinstance(t, ast.Name)}
+        if aliases == known:
+            return aliases
+
+
+def _linalg_names(tree, aliases, where=()):
     """(routine, enclosing function names) of each numpy.linalg routine
-    named in ``tree``, as an attribute of ``linalg`` or imported from it."""
+    named in ``tree``: as an attribute of linalg or of a name in
+    ``aliases``, imported from linalg, or fetched from it with getattr (a
+    name that is not a literal string counts as the routine "?")."""
     for node in ast.iter_child_nodes(tree):
         inner = where
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = where + (node.name,)
         if (isinstance(node, ast.Attribute) and node.attr[:1].islower()
-                and ((isinstance(node.value, ast.Attribute)
-                      and node.value.attr == "linalg")
-                     or (isinstance(node.value, ast.Name)
-                         and node.value.id == "linalg"))):
+                and _is_linalg(node.value, aliases)):
             yield node.attr, where
         if (isinstance(node, ast.ImportFrom)
                 and (node.module or "").endswith("linalg")):
             for alias in node.names:
                 yield alias.name, where
-        yield from _linalg_names(node, inner)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and _is_linalg(node.args[0], aliases)):
+            name = node.args[1]
+            yield (name.value if isinstance(name, ast.Constant) else "?"), where
+        yield from _linalg_names(node, aliases, inner)
 
 
 def _linalg_sites() -> dict:
     sites = {}
     for path in sorted(Path(hypflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for routine, where in _linalg_names(tree):
+        for routine, where in _linalg_names(tree, _linalg_aliases(tree)):
             sites.setdefault(routine, []).append((path.stem, where))
     return sites
 
 
 def test_every_linalg_routine_listed():
     assert sorted(_linalg_sites()) == sorted(LINALG_SITES)
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\ndef f(m):\n    return np.linalg.eigvals(m)",
+    "from numpy import linalg as la\ndef f(m):\n    return la.eigvals(m)",
+    "import numpy.linalg as nl\ndef f(m):\n    return nl.eigvals(m)",
+    "import numpy as np\nla = np.linalg\nlb = la\n"
+    "def f(m):\n    return lb.eigvals(m)",
+    "import numpy as np\ndef f(m):\n"
+    "    eigvals = getattr(np.linalg, 'eigvals')\n    return eigvals(m)",
+    "def f(m):\n    from numpy.linalg import eigvals as ev\n    return ev(m)",
+])
+def test_linalg_site_found_under_any_name(source):
+    # the site test read only <...>.linalg.<routine> and imports from
+    # linalg, so an alias of the module or getattr added a site unseen
+    tree = ast.parse(source)
+    assert list(_linalg_names(tree, _linalg_aliases(tree))) == [
+        ("eigvals", ("f",))]
 
 
 @pytest.mark.parametrize("routine", LINALG_SITES)

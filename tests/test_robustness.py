@@ -296,6 +296,18 @@ class TestMargin:
         assert 0 < m.lower <= distance <= m.upper * (1 + 1e-8)
         assert m.upper - m.lower <= 1e-5 * m.upper
 
+    def test_shift_beyond_float_range_answered(self):
+        # ||A||_2 = 1.5e308 is finite, but A - i*omega*I at omega = 1.5e308
+        # has the entry 1.5e308 - 1.5e308i, for which LAPACK's SVD gave nan;
+        # the bracket search then warned and died in the SVD
+        a = np.array([[1e300, 1.5e308, 0.0], [-1.5e308, 1e300, 0.0],
+                      [0.0, 0.0, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = robustness.margin(a)
+        distance = math.ldexp(refined_grid_distance(np.ldexp(a, -1024)), 1024)
+        assert 0 < m.lower <= distance <= m.upper * (1 + 1e-8)
+
 
 class TestPerturbCampaign:
     def test_no_flips_below_margin(self):
@@ -386,20 +398,46 @@ class TestPerturbCampaign:
     def test_sum_beyond_float_range_answered(self, h, samples, radius, seed,
                                              tau):
         # both were refused with "A + E passes the float range"; now such a
-        # block is counted on 2**-1024 A + 2**-1024 E against 2**-1024 tau,
-        # which is the campaign of the scaled matrix, witnesses scaled back
+        # sample is counted on 2**-1024 A + 2**-1024 E against 2**-1024 tau,
+        # its witness scaled back, as the per-sample recount does
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = robustness.perturb_campaign(h, samples, radius, seed, tau)
-        base_tau = report.base_inertia.tau
-        flips, witnesses = campaign_recount(
-            np.asarray(h) * 2.0 ** -1024, samples, radius * 2.0 ** -1024,
-            seed, base_tau * 2.0 ** -1024)
+        flips, witnesses = campaign_recount(h, samples, radius, seed,
+                                            report.base_inertia.tau)
         assert report.flips == flips
-        assert len(report.flip_witnesses) == len(witnesses)
-        for (i, e), (j, scaled) in zip(report.flip_witnesses, witnesses):
-            assert i == j
-            np.testing.assert_array_equal(e, np.ldexp(scaled, 1024))
+        assert witness_bytes(report.flip_witnesses) == witness_bytes(witnesses)
+
+    def test_sample_counted_on_its_own_draw(self):
+        # the scaled count was chosen per block, so sample 3, whose A + E is
+        # finite, was counted on 2**-1024 (A + E) because other samples of
+        # its block pass the float range. LAPACK's eigenvalue of the scaled
+        # matrix lies 1.6e292 below the unscaled one, which tau is set to
+        # here, so the unscaled count flips and the scaled one did not: the
+        # report disagreed with the samples run one at a time
+        h, radius, seed = np.diag([-1e306, 1.79e308]), 3e306, 5
+
+        def perturbation(i):
+            rng = np.random.Generator(np.random.PCG64(seed ^ i))
+            g = rng.standard_normal((2, 2))
+            norm_g = np.linalg.svd(g.astype(complex), compute_uv=False)[0]
+            with np.errstate(over="ignore"):
+                return g * (radius * (1.0 - rng.random()) / norm_g)
+
+        with np.errstate(over="ignore"):
+            assert not all(np.isfinite(h + perturbation(i)).all()
+                           for i in range(100))
+        tau = float(-np.linalg.eigvals(h + perturbation(3)).real.min())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness.perturb_campaign(h, 100, radius, seed, tau)
+            alone = [robustness.perturb_campaign(h, 1, radius, seed ^ i, tau)
+                     for i in range(100)]
+        flips, witnesses = campaign_recount(h, 100, radius, seed, tau)
+        assert report.flips == sum(r.flips for r in alone) == flips
+        assert witness_bytes(report.flip_witnesses) == witness_bytes(witnesses)
+        assert 3 in {i for i, _ in report.flip_witnesses}
+
 
     def test_numpy_integers_reported_as_python_ints(self):
         # a np.uint64 seed was kept as np.uint64

@@ -205,6 +205,11 @@ class TestSigmaMin:
             assert spectral.sigma_min(np.array([[big, 0], [0, 1]])) == 1.0
             assert spectral.sigma_min(np.array([[big, 0], [0, 0.375]])) == 0.375
             assert spectral.sigma_min(np.array([[big]])) == np.inf
+            # in a stack, only that matrix is scaled: sigma_min_many and
+            # sigma_min agree, and the others keep LAPACK's values
+            stack = np.array([[[big, 0], [0, 0.375]], [[1, 2], [3, 4]]])
+            assert spectral.sigma_min_many(stack).tolist() == [
+                0.375, spectral.sigma_min(stack[1])]
 
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
