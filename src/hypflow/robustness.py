@@ -365,17 +365,18 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         with np.errstate(over="ignore"):
             e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
             perturbed = m + e
-        level = np.full((len(drawn), 1), tau)
-        over = np.flatnonzero(~np.isfinite(perturbed).all(axis=(1, 2)))
-        if over.size:
-            # count each such sample on 2**-x A + 2**-x E against 2**-x tau,
-            # which has the same inertias, with 2**-x taking A and the
-            # radius below 1
+        level = tau
+        if not np.isfinite(perturbed).all():
+            # count each sample whose A + E passes the float range on
+            # 2**-x A + 2**-x E against 2**-x tau, which has the same
+            # inertias, with 2**-x taking A and the radius below 1
+            over = np.flatnonzero(~np.isfinite(perturbed).all(axis=(1, 2)))
             x = math.frexp(max(float(np.abs(m).max()), radius))[1]
             k = drawn[over]
             scaled = g[k] * (math.ldexp(radius, -x) * frac[k]
                              / norm_g[k])[:, None, None]
             perturbed[over] = np.ldexp(m, -x) + scaled
+            level = np.full((len(drawn), 1), tau)
             level[over] = math.ldexp(tau, -x)
             e[over] = np.ldexp(scaled, x)
         re = spectral.eigenvalues_many(perturbed).real

@@ -210,6 +210,8 @@ class TestSigmaMin:
             stack = np.array([[[big, 0], [0, 0.375]], [[1, 2], [3, 4]]])
             assert spectral.sigma_min_many(stack).tolist() == [
                 0.375, spectral.sigma_min(stack[1])]
+            # no power of two scales an infinite entry: LAPACK's nan stands
+            assert np.isnan(spectral.sigma_min_many(np.array([[[np.inf]]]))[0])
 
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
