@@ -5,9 +5,14 @@ Matrix input is a JSON file with an explicit dimension field::
     {"d": 2, "data": [[-1.0, 0.0], [0.0, 2.0]]}
 
 Reports go to standard output as JSON with sorted keys; CSV and SVG payloads
-go to --out (default standard output). All numbers are rendered with
-shortest round-trip float formatting (CSV uses 17 significant digits), so
-identical inputs, flags, and seeds produce byte-identical outputs.
+go to --out (default standard output). A payload is formed whole before
+--out is opened, and then replaces the file's bytes in place: the file
+keeps its inode, links and mode bits, a non-regular target such as
+/dev/null is written without truncation, and a request that fails leaves
+the file untouched. All numbers are rendered with shortest round-trip
+float formatting (CSV uses 17 significant digits), so identical inputs,
+flags, and seeds produce byte-identical outputs, whether or not --out
+existed before.
 
 Exit codes: 0 success/hyperbolic, 1 usage or input error, 2 non-hyperbolic
 input (or a verification failure), 3 indeterminate classification.
@@ -20,6 +25,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -88,11 +95,23 @@ def _emit(report: dict, stream) -> None:
 
 
 def _write_payload(text: str, out_path: str, stdout) -> None:
+    """Write a formed payload to ``out_path`` ('-' is ``stdout``).
+
+    An existing file is written over in place and then cut at the end of
+    the payload: truncating it to zero first, as ``open(path, "w")`` does,
+    can cost several times the write itself on a file that held a payload
+    before. The file keeps its inode, links and mode bits; a target that is
+    not a regular file, such as /dev/null, is written without truncation.
+    """
     if out_path == "-":
         stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    fd = os.open(out_path,
+                 os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:

@@ -26,6 +26,9 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
         if x.dtype.kind != "O" or not all(
                 isinstance(v, (numbers.Number, np.bool_)) for v in x.flat):
             raise ValueError(f"{what} entries must be numbers")
+        # an object array of numbers takes the dtype its entries infer, so
+        # that a complex entry meets the real check below
+        x = np.array(x.tolist())
     if dtype is float and np.iscomplexobj(x):
         raise ValueError(f"{what} entries must be real")
     x = np.array(x, dtype=dtype)

@@ -2,6 +2,7 @@ import ast
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,39 @@ def test_complex_matrix_refused(name):
     for a in (np.array([[1 + 1j, 0.0], [0.0, -1.0]]), [[1j, 0.0], [0.0, -1.0]]):
         with pytest.raises(ValueError, match="^matrix entries must be real$"):
             REAL_MATRIX_CALLS[name](a)
+
+
+COMPLEX_OBJECTS = {
+    "as_matrix": (lambda: hypflow.as_matrix(np.array([[1j]], dtype=object)),
+                  "matrix"),
+    "classify": (lambda: hypflow.classify(
+        np.array([[1 + 0j]], dtype=object)), "matrix"),
+    "mixed": (lambda: hypflow.as_matrix(
+        np.array([[1.0, 2], [np.complex128(3), 4]], dtype=object)), "matrix"),
+    "x0": (lambda: hypflow.trajectory(
+        np.eye(1), np.array([1j], dtype=object), [0, 1]), "x0"),
+    "time_grid": (lambda: hypflow.trajectory(
+        np.eye(1), [1.0], np.array([0, 1j], dtype=object)), "time grid"),
+    "continuity_sequence": (lambda: hypflow.continuity_check(
+        np.eye(1), [np.array([[1j]], dtype=object)]), "matrix"),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_OBJECTS)
+def test_complex_object_entries_refused(name):
+    # an object array of numbers skipped the real check: its complex entry
+    # died in the float conversion with a bare TypeError, or, as a numpy
+    # complex, lost its imaginary part to a ComplexWarning
+    call, what = COMPLEX_OBJECTS[name]
+    with pytest.raises(ValueError, match=f"^{what} entries must be real$"):
+        call()
+
+
+def test_real_object_entries_converted():
+    a = np.array([[1, 2.5], [Fraction(1, 2), np.float32(-3)]], dtype=object)
+    m = hypflow.as_matrix(a)
+    assert m.dtype == float
+    np.testing.assert_array_equal(m, [[1.0, 2.5], [0.5, -3.0]])
 
 
 NON_NUMBERS = {
@@ -198,3 +232,54 @@ def test_one_site_per_linalg_routine(routine):
     # every eigenvalue computation in the package goes through
     # spectral.eigenvalues_many, and each other routine has its own sites
     assert _linalg_sites().get(routine) == LINALG_SITES[routine]
+
+
+# One site that writes files: each call in the package that opens a file,
+# by the name it is called under, with the functions that make it.
+# cli.read_matrix reads the matrix file and cli._write_payload writes --out;
+# a second write path, such as a stray open(path, "w"), changes this table.
+OPEN_SITES = [
+    ("cli", ("read_matrix",), "open"),
+    ("cli", ("_write_payload",), "os.open"),
+    ("cli", ("_write_payload",), "open"),
+]
+
+# the last component of a call that opens or writes a file by its path
+_OPENERS = {"open", "fdopen", "write_text", "write_bytes", "savetxt",
+            "tofile"}
+
+
+def _open_calls(tree, where=()):
+    """(enclosing function names, callee as written) of each call in
+    ``tree`` whose callee's last name is in ``_OPENERS``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = where + (node.name,)
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee.rpartition(".")[2] in _OPENERS:
+                yield where, callee
+        yield from _open_calls(node, inner)
+
+
+def _open_sites() -> list:
+    return [(path.stem, where, callee)
+            for path in sorted(Path(hypflow.__file__).parent.glob("*.py"))
+            for where, callee in _open_calls(
+                ast.parse(path.read_text(encoding="utf-8")))]
+
+
+def test_one_site_writes_files():
+    assert _open_sites() == OPEN_SITES
+
+
+@pytest.mark.parametrize("source", [
+    "def f(p, t):\n    with open(p, 'w') as fh:\n        fh.write(t)",
+    "import io\ndef f(p, t):\n    io.open(p, 'w').write(t)",
+    "import os\ndef f(p, t):\n    os.fdopen(os.dup(1), 'w').write(t)",
+    "from pathlib import Path\ndef f(p, t):\n    Path(p).write_text(t)",
+    "import numpy as np\ndef f(p, t):\n    np.savetxt(p, t)",
+])
+def test_open_site_found(source):
+    assert [where for where, _ in _open_calls(ast.parse(source))] == [("f",)]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import warnings
 from unittest import mock
 
@@ -486,6 +487,111 @@ class TestPortrait:
         assert len(calls) == 1
 
 
+FLOW_ARGV = ("flow", "--x0", "1,1", "--times", "0,0.5,1")
+PORTRAIT_ARGV = ("portrait",)
+
+
+class TestOutFile:
+    """--out rewrites an existing file in place: the new payload replaces
+    its bytes, the file keeps its inode, links and mode bits, a
+    non-regular target is written without truncation, and a request that
+    fails leaves the file as it was."""
+
+    @staticmethod
+    def request(capsys, saddle, argv, out_path):
+        return run(capsys, argv[0], saddle, *argv[1:], "--out", str(out_path))
+
+    def payload(self, capsys, saddle, argv):
+        code, out, _ = self.request(capsys, saddle, argv, "-")
+        assert code == 0
+        return out.encode()
+
+    @pytest.mark.parametrize("argv", [FLOW_ARGV, PORTRAIT_ARGV])
+    def test_short_payload_over_longer_file(self, capsys, saddle, tmp_path,
+                                            argv):
+        # writing in place without cutting the file at the end of the new
+        # payload would leave the old file's tail behind it
+        expected = self.payload(capsys, saddle, argv)
+        out_path = tmp_path / "out"
+        out_path.write_bytes(b"0123456789\n" * (len(expected) // 5))
+        code, _, err = self.request(capsys, saddle, argv, out_path)
+        assert (code, err) == (0, "")
+        assert out_path.read_bytes() == expected
+
+    @pytest.mark.parametrize("argv", [FLOW_ARGV, PORTRAIT_ARGV])
+    def test_dev_null_exit_0(self, capsys, saddle, argv):
+        code, out, err = self.request(capsys, saddle, argv, os.devnull)
+        assert (code, err) == (0, "")
+        assert out == ("s=1 u=1\n" if argv[0] == "portrait" else "")
+
+    @pytest.mark.parametrize("argv", [FLOW_ARGV, PORTRAIT_ARGV])
+    def test_directory_exit_1(self, capsys, saddle, tmp_path, argv):
+        code, out, err = self.request(capsys, saddle, argv, tmp_path)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("argv", [FLOW_ARGV, PORTRAIT_ARGV])
+    def test_missing_parent_exit_1(self, capsys, saddle, tmp_path, argv):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = self.request(capsys, saddle, argv, out_path)
+        assert (code, out) == (1, "")
+        assert err == ("error: [Errno 2] No such file or directory: "
+                       f"'{out_path}'\n")
+        assert not out_path.parent.exists()
+
+    def test_inode_mode_and_hard_link_kept(self, capsys, saddle, tmp_path):
+        expected = self.payload(capsys, saddle, FLOW_ARGV)
+        out_path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        out_path.write_bytes(b"old\n" * 1000)
+        out_path.chmod(0o640)
+        os.link(out_path, link)
+        before = out_path.stat()
+        code, _, _ = self.request(capsys, saddle, FLOW_ARGV, out_path)
+        assert code == 0
+        after = out_path.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, 2)
+        assert link.read_bytes() == out_path.read_bytes() == expected
+
+    def test_symlink_written_through(self, capsys, saddle, tmp_path):
+        expected = self.payload(capsys, saddle, PORTRAIT_ARGV)
+        target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+        target.write_bytes(b"old\n" * 10000)
+        link.symlink_to(target)
+        code, _, _ = self.request(capsys, saddle, PORTRAIT_ARGV, link)
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_new_file_created(self, capsys, saddle, tmp_path):
+        expected = self.payload(capsys, saddle, FLOW_ARGV)
+        out_path = tmp_path / "new.csv"
+        code, _, _ = self.request(capsys, saddle, FLOW_ARGV, out_path)
+        assert code == 0
+        assert out_path.read_bytes() == expected
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+    def test_failed_request_leaves_file_unchanged(self, capsys, tmp_path):
+        # the payload is formed before the file is opened, so a flow that
+        # leaves the float range touches no byte of the old file
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        path = write_fixture(tmp_path, "huge.json", 1e300 * a)
+        out_path = tmp_path / "out.csv"
+        old = b"t,x1,x2,x3,x4\n0,1,1,1,1\n"
+        out_path.write_bytes(old)
+        code, out, err = run(capsys, "flow", path, "--x0", "1,1,1,1",
+                             "--times", "0,0.1,1", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: the flow leaves the float range at t = 0.1\n"
+        assert out_path.read_bytes() == old
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 class TestVerify:
     def test_vieta_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "vieta", "--seed", "1",
@@ -677,6 +783,21 @@ def test_payload_bytes_pinned(capsys, tmp_path, name):
                          "--out", str(out_path))
     assert (code, out, err) == (0, stdout, "")
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_payload_bytes_pinned_when_rewritten(capsys, tmp_path, name):
+    # the bytes do not depend on whether --out existed before, nor on what
+    # it held: a longer file is cut at the end of the new payload
+    matrix, argv, stdout, digest = PINNED[name]
+    path = write_fixture(tmp_path, "m.json", matrix)
+    out_path = tmp_path / "payload"
+    out_path.write_bytes(b"#" * (1 << 16))
+    for _ in range(2):
+        code, out, err = run(capsys, argv[0], path, *argv[1:],
+                             "--out", str(out_path))
+        assert (code, out, err) == (0, stdout, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 # SHA-256 of [exit code, stdout, stderr] of each report request as the path
