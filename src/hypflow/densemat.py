@@ -31,7 +31,10 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
         x = np.array(x.tolist())
     if dtype is float and np.iscomplexobj(x):
         raise ValueError(f"{what} entries must be real")
-    x = np.array(x, dtype=dtype)
+    try:
+        x = np.array(x, dtype=dtype)
+    except OverflowError:  # a Python integer past the float range
+        raise ValueError(f"{what} entries must be finite") from None
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} entries must be finite")
     return x

@@ -1,13 +1,13 @@
-"""Minimum-weight perfect matching for comparing eigenvalue multisets.
+"""Bottleneck matching for comparing eigenvalue multisets.
 
 Eigenvalue multisets have no canonical order, so equality and distance
-questions are answered by finding the permutation that minimizes the total
-pairwise distance. The Hungarian algorithm (potentials + augmenting paths,
-O(n^3)) is plenty at the matrix sizes this package targets; it runs on
-nested lists of Python floats, which index faster than numpy scalars.
-Near the float maximum it runs on the costs divided by an exact power of
-two. ``pair_values`` forms no total and refuses only a matched distance
-past the float range.
+questions are answered by the optimal matching distance, the least over
+permutations pi of max_i |a_i - b_pi(i)| (Bhatia, *Matrix Analysis*, 1997,
+ch. VI): the measure in which eigenvalues move continuously with the
+matrix. The pairing minimizes that largest distance by a bottleneck search
+that compares distances and never adds them, so a distance past the float
+range is just inf, and ``pair_values`` refuses only a pairing whose least
+largest distance is inf.
 """
 
 from __future__ import annotations
@@ -17,92 +17,70 @@ import numpy as np
 from . import densemat
 from .errors import DimensionMismatch
 
-_INF = float("inf")
-_MAX = float(np.finfo(float).max)
 
+def _bottleneck(cost: list, order: list,
+                level: float) -> tuple[list[int], float]:
+    """(perm, largest): a pairing of the n x n costs ``cost`` (nested lists
+    of Python floats, inf allowed) whose largest cost is least; perm[i] is
+    the column paired with row i and ``largest`` that least largest cost.
+    ``order[i]`` lists the columns by ascending ``cost[i]``, and ``level``
+    must not exceed the least largest cost.
 
-def _hungarian(rows: list, n: int) -> list[int]:
-    """Least-total assignment of the n x n costs ``rows`` (nested lists of
-    finite Python floats, every |cost| at most _MAX / (4n + 2)):
-    assignment[i] is the column matched to row i."""
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = rows[i0 - 1]
-            ui = u[i0]
-            delta = _INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if p[j] > 0:
-            assignment[p[j] - 1] = j - 1
-    return assignment
-
-
-def _scale(peak: float, n: int) -> float:
-    """The power of two that _hungarian's n x n costs, of largest |cost|
-    ``peak``, are divided by. The potentials and reduced costs stay within
-    (4n + 2) times ``peak``; past _MAX / (4n + 2) the loop runs on the
-    costs divided by 2 ** (4n + 2).bit_length(), which makes the same
-    comparisons without overflow."""
-    return 1.0 if peak <= _MAX / (4 * n + 2) else 2.0 ** (4 * n + 2).bit_length()
+    Rows join one at a time, each by a breadth-first search for an
+    alternating path (Kuhn) over the costs at most ``level`` that ends at
+    an unpaired column; every row tries its nearest columns first. Where
+    no path exists, no pairing of the rows so far stays within ``level``,
+    which rises to the least cost from a row the search reached to a column
+    it did not: the next level at which the search reaches further.
+    """
+    n = len(cost)
+    perm = [-1] * n  # perm[i]: the column paired with row i
+    owner = [-1] * n  # owner[j]: the row paired with column j
+    for i in range(n):
+        end = -1
+        while end < 0:
+            parent = [-1] * n  # parent[j]: the row the search reached j from
+            rows = [i]
+            for r in rows:  # rows grows as the search reaches paired columns
+                row = cost[r]
+                for j in order[r]:
+                    if row[j] > level:
+                        break
+                    if parent[j] < 0:
+                        parent[j] = r
+                        if owner[j] < 0:
+                            end = j
+                            break
+                        rows.append(owner[j])
+                if end >= 0:
+                    break
+            else:
+                level = min(c for r in rows
+                            for c, p in zip(cost[r], parent) if p < 0)
+        while end >= 0:
+            r = parent[end]
+            owner[end] = r
+            perm[r], end = end, perm[r]
+    return perm, level
 
 
 def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:
     """``pair_values(avs[k], bv)`` for each row k of the finite complex
-    (B, n) stack ``avs``, as (perms, max_distances); all B cost matrices
-    come from one broadcast."""
-    n = bv.shape[0]
+    (B, n) stack ``avs``, as (perms, max_distances); all B distance
+    matrices, their column orders and their floors come from whole-stack
+    calls."""
     with np.errstate(over="ignore"):
         costs = np.abs(avs[:, :, None] - bv)
-    peaks = costs.max(axis=(1, 2), initial=0.0).tolist()
+    # every value is paired at its least distance or above; most rows have
+    # a pairing at the largest of these floors
+    floors = np.maximum(
+        costs.min(axis=2, initial=np.inf).max(axis=1, initial=0.0),
+        costs.min(axis=1, initial=np.inf).max(axis=1, initial=0.0))
+    orders = np.argsort(costs, axis=2, kind="stable").tolist()
     perms, dists = [], []
-    for k, (cost, peak) in enumerate(zip(costs.tolist(), peaks)):
-        # a distance between finite values overflows only past the float
-        # maximum; such a row is paired at an exact quarter scale
-        quarter = 1.0
-        if peak == _INF:
-            quarter = 4.0
-            cost = np.abs(avs[k, :, None] / 4.0 - bv / 4.0)
-            peak = float(cost.max())
-            cost = cost.tolist()
-        scale = _scale(peak, n)
-        rows = cost if scale == 1.0 else [[x / scale for x in row] for row in cost]
-        perm = _hungarian(rows, n)
-        dist = max((cost[i][perm[i]] for i in range(n)), default=0.0) * quarter
-        if dist == _INF:
+    for cost, order, floor in zip(costs.tolist(), orders, floors.tolist()):
+        perm, dist = _bottleneck(cost, order, floor)
+        if dist == np.inf:
             raise ValueError("matched distance exceeds the float range")
         perms.append(perm)
         dists.append(dist)
@@ -110,12 +88,14 @@ def _pair_rows(avs: np.ndarray, bv: np.ndarray) -> tuple[list, list]:
 
 
 def pair_values(a, b) -> tuple[list[int], float]:
-    """Optimally pair two equal-length lists of finite complex values.
+    """Pair two equal-length lists of finite complex values so that the
+    largest matched distance is least.
 
-    Returns (perm, max_distance): perm[i] is the index in ``b`` matched to
-    ``a[i]`` and max_distance is the largest matched modulus distance. The
-    pairing's total is not formed; a matched distance past the float range
-    raises ValueError.
+    Returns (perm, max_distance): perm[i] is the index in ``b`` paired with
+    ``a[i]`` and max_distance is the largest matched modulus distance, the
+    optimal matching distance of the two multisets. Among pairings that
+    reach it, the result is fixed by the order of the values. A
+    max_distance past the float range raises ValueError.
     """
     av = np.atleast_1d(densemat._entries(a, "value", complex))
     bv = np.atleast_1d(densemat._entries(b, "value", complex))
@@ -130,6 +110,7 @@ def pair_values(a, b) -> tuple[list[int], float]:
 
 
 def matched_distance(a, b) -> float:
-    """Largest pairwise distance under the optimal matching of two multisets."""
+    """The optimal matching distance of two multisets: the least, over
+    pairings, of the largest matched distance."""
     _, dist = pair_values(a, b)
     return dist

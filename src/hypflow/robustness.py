@@ -17,7 +17,8 @@ small perturbation. This module makes that statement executable four ways:
 * ``perturb_campaign`` samples random perturbations at a given radius and
   counts inertia flips (none may occur below the margin);
 * ``continuity_check`` matches eigenvalue multisets along a convergent matrix
-  sequence through minimum-weight pairings and reports how the mismatch decays.
+  sequence through pairings that minimize the largest distance, and reports
+  how that optimal matching distance decays.
 
 ``generate`` builds seeded test matrices in a requested (s, u) class, and
 ``run_suite`` runs the headline properties as seeded suites for the
@@ -114,7 +115,10 @@ class CampaignReport:
 
 @dataclass(eq=False)
 class ContinuityReport:
-    """Eigenvalue matchings along a matrix sequence converging to a limit."""
+    """Eigenvalue matchings along a matrix sequence converging to a limit:
+    ``pairings[n][i]`` is the eigenvalue of the limit paired with eigenvalue
+    i of the n-th matrix, by a pairing that minimizes the largest distance,
+    and ``max_mismatch[n]`` is that least largest distance."""
 
     pairings: list
     max_mismatch: list
@@ -419,8 +423,9 @@ def _sequence_stack(sequence, shape: tuple) -> np.ndarray:
 def continuity_check(h, sequence) -> ContinuityReport:
     """Match eigenvalues of each A_n against those of H and track the mismatch.
 
-    Pairings are minimum-weight perfect matchings on modulus distances (the
-    numerical realization of matching eigenvalue multisets up to permutation).
+    Each pairing minimizes the largest modulus distance between matched
+    eigenvalues (``matching.pair_values``), and ``max_mismatch`` holds that
+    optimal matching distance; only one past the float range is refused.
     ``monotone_tail`` reports whether the matched distance is non-increasing
     on the suffix where ||A_n - H|| itself is non-increasing.
     """
@@ -428,13 +433,13 @@ def continuity_check(h, sequence) -> ContinuityReport:
     stack = _sequence_stack(sequence, m.shape)
     with np.errstate(over="ignore"):
         diffs = stack - m
-    # a non-finite or overflowed entry would stall the eigenvalue matching,
-    # and the SVD would turn it into NaN singular values, silently
+    # the SVD would turn a non-finite or overflowed entry into NaN singular
+    # values, silently
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
     eigs = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
     # as in classify: LAPACK returns eigenvalues past the float maximum as
-    # inf, which the matching would refuse as costs the caller never gave
+    # inf, and the distance between two of them is NaN
     if not np.isfinite(eigs).all():
         raise ValueError("eigenvalues exceed the float range")
     pairings, mismatches = matching._pair_rows(eigs[:-1], eigs[-1])

@@ -6,13 +6,14 @@ to the non-hyperbolic set from a dense SVD grid with golden-section refinement
 and from a bisection on a doubled Hamiltonian-structured matrix whose
 eigenvalues come from numpy, perturbation campaigns are recounted one sample
 at a time, the matrix exponential is evaluated one matrix at a time, random
-orthogonal matrices come from Gram-Schmidt, the assignment problem is solved
-by a frozen copy of the Hungarian loop on numpy scalars, and small closed
-forms are spelled out directly.
+orthogonal matrices come from Gram-Schmidt, the optimal matching distance of
+two multisets comes from trying every permutation, and small closed forms
+are spelled out directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -171,66 +172,19 @@ def gram_schmidt_orthogonal(rng, count: int, d: int) -> np.ndarray:
     return out
 
 
-def min_weight_assignment_numpy(cost):
-    """(assignment, total) of a finite square cost matrix: the Hungarian
-    loop (potentials and augmenting paths) indexing the numpy array itself,
-    as hypflow ran it before its loop moved to Python floats. Potentials run
-    on the costs divided by 2**bit_length(4n + 2) when an entry passes
-    max/(4n + 2), and a total past the float range raises ValueError."""
-    c = np.asarray(cost, dtype=float)
-    n = c.shape[0]
-    big = float(np.finfo(float).max)
-    inf = float("inf")
-    scale = 1.0
-    if np.abs(c).max(initial=0.0) > big / (4 * n + 2):
-        scale = 2.0 ** (4 * n + 2).bit_length()
-        c = c / scale
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = c[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if p[j] > 0:
-            assignment[p[j] - 1] = j - 1
-    # numpy scalars are not exact floats, so sum() adds them left to right
-    total = float(sum(c[i][assignment[i]] for i in range(n))) * scale
-    if math.isinf(total):
-        raise ValueError("assignment total exceeds the float range")
-    return assignment, total
+def bottleneck_pairings(a, b):
+    """(distance, perms) of two equal-length lists of complex values (n <= 6):
+    the least over every permutation p of max_i |a_i - b_p(i)|, and each p
+    that reaches it, as a list. A distance past the float range is inf."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    with np.errstate(over="ignore"):
+        dist = np.abs(a[:, None] - b[None, :]).tolist()
+    n = len(a)
+    largest = {p: max((dist[i][p[i]] for i in range(n)), default=0.0)
+               for p in itertools.permutations(range(n))}
+    best = min(largest.values())
+    return best, [list(p) for p, d in largest.items() if d == best]
 
 
 def quadratic_roots(b: float, c: float):

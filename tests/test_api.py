@@ -93,6 +93,28 @@ def test_real_object_entries_converted():
     np.testing.assert_array_equal(m, [[1.0, 2.5], [0.5, -3.0]])
 
 
+HUGE_INTEGERS = {
+    "as_matrix": (lambda: hypflow.as_matrix([[10 ** 400]]), "matrix"),
+    "object_matrix": (lambda: hypflow.as_matrix(
+        np.array([[10 ** 400]], dtype=object)), "matrix"),
+    "negative": (lambda: hypflow.classify([[1, -10 ** 400], [0, 1]]),
+                 "matrix"),
+    "x0": (lambda: hypflow.trajectory(np.eye(1), [10 ** 400], [0, 1]), "x0"),
+    "time_grid": (lambda: hypflow.trajectory(np.eye(1), [1.0],
+                                             [0, 10 ** 400]), "time grid"),
+    "pair_values": (lambda: hypflow.pair_values([10 ** 400], [0.0]),
+                    "value"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INTEGERS)
+def test_integers_past_float_range_refused(name):
+    # the float conversion let a bare OverflowError out
+    call, what = HUGE_INTEGERS[name]
+    with pytest.raises(ValueError, match=f"^{what} entries must be finite$"):
+        call()
+
+
 NON_NUMBERS = {
     "pair_values": (lambda: hypflow.pair_values(["a"], ["b"]), "value"),
     "string_matrix": (lambda: hypflow.as_matrix([["a"]]), "matrix"),

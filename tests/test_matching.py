@@ -1,5 +1,4 @@
 import ast
-import itertools
 import subprocess
 import sys
 import warnings
@@ -13,41 +12,58 @@ from hypflow import matching
 from hypflow.errors import DimensionMismatch
 
 from conftest import child_env
-from oracles import min_weight_assignment_numpy
+from oracles import bottleneck_pairings
+
+TOP = float(np.finfo(float).max)
 
 
-def hungarian(cost):
-    """matching._hungarian on ``cost`` divided by matching._scale, the call
-    _pair_rows makes: assignment[i] is the column matched to row i."""
-    c = np.asarray(cost, dtype=float)
-    n = c.shape[0]
-    scale = matching._scale(float(np.abs(c).max(initial=0.0)), n)
-    return matching._hungarian((c / scale).tolist(), n)
+def assert_bottleneck_optimum(a, b):
+    """pair_values(a, b), with warnings as errors, against the brute-force
+    optimal matching distance: the same distance and one of the pairings
+    that reach it, or the refusal exactly when that distance is inf."""
+    best, optima = bottleneck_pairings(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            perm, dist = matching.pair_values(a, b)
+        except ValueError as exc:
+            assert str(exc) == "matched distance exceeds the float range"
+            assert best == np.inf
+            return
+    assert dist == best
+    assert perm in optima
 
 
-def brute_force_min_cost(cost):
-    n = cost.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        total = sum(cost[i][perm[i]] for i in range(n))
-        if best is None or total < best:
-            best = total
-    return best
+def draw_values(rng, n, scale, parts):
+    """n values uniform in (-scale, scale), in both parts if complex."""
+    v = rng.uniform(-1.0, 1.0, n) * scale
+    if parts == "complex":
+        v = v + 1j * rng.uniform(-1.0, 1.0, n) * scale
+    return v
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5))
-def test_assignment_matches_brute_force(seed, n):
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 6),
+       parts=st.sampled_from(["real", "complex"]))
+def test_assignment_matches_brute_force(seed, n, parts):
     rng = np.random.default_rng(seed)
-    cost = rng.uniform(0.0, 10.0, size=(n, n))
-    assignment = hungarian(cost)
-    assert sorted(assignment) == list(range(n))
-    total = sum(cost[i][assignment[i]] for i in range(n))
-    assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
+    a = draw_values(rng, n, 10.0, parts)
+    # b near a shuffle of a, so that near and far pairings compete
+    b = a[rng.permutation(n)] + draw_values(rng, n, 2.0, parts)
+    assert_bottleneck_optimum(a, b)
 
 
 def test_assignment_prefers_diagonal():
-    assert hungarian(np.array([[0.0, 5.0], [5.0, 0.0]])) == [0, 1]
+    assert matching.pair_values([0.0, 5.0], [0.0, 5.0]) == ([0, 1], 0.0)
+    assert matching.pair_values([5.0, 0.0], [0.0, 5.0]) == ([1, 0], 0.0)
+
+
+def test_pairing_minimises_the_largest_distance():
+    # the least-total pairing matches -1j exactly and 1+1j with -2-2j, at
+    # a largest distance 3*sqrt(2); the crossed pairing keeps both at sqrt(5)
+    perm, dist = matching.pair_values([-1j, 1 + 1j], [-1j, -2 - 2j])
+    assert perm == [1, 0]
+    assert dist == abs(1 + 2j)
 
 
 def test_pair_values_exact_permutation(rng):
@@ -94,58 +110,65 @@ def run_apart(call):
 ], ids=["overflowing_distance", "overflowing_continuity",
         "nan_value"])
 def test_non_finite_cost_refused_promptly(call, message):
-    # an inf or nan cost never selects a column, so the Hungarian loop spun
-    # forever; run apart to survive a hang. The distance 2e308 used to be
-    # refused as a cost entry, which the caller never gave, and so was a
-    # nan value.
+    # an inf or nan cost never selected a column of the Hungarian loop
+    # that paired these before, which spun forever; run apart to survive a
+    # hang. The distance 2e308 used to be refused as a cost entry, which
+    # the caller never gave, and so was a nan value.
     assert run_apart(call) == message + "\n"
 
 
-def optimal_at_an_eighth(cost, assignment):
-    """Whether ``assignment`` has the least total of the costs (n <= 5, near
-    the float maximum) divided by 8, where every total is finite."""
-    eighth = np.asarray(cost) / 8.0
-    total = sum(eighth[i][assignment[i]] for i in range(len(eighth)))
-    return total == brute_force_min_cost(eighth)
-
-
+# Value lists whose distances reach or pass the float maximum, on which the
+# Hungarian loop that paired them before overflowed its potentials: warnings
+# escaped, some loops hung and some pairings were not optimal.
 NEAR_MAX = [
-    [[5e307, -1.797e308], [5e307, 1.797e308]],
-    [[1.797e308, 1.7e308], [5e307, -1.7e308]],
-    [[-1.7e308, 5e307], [5e307, 1.7e308]],
-    [[1e308, -1e308], [1.797e308, -1.797e308]],
-    [[5e307, -1e308, -1.797e308], [1e308, -1.7e308, 5e307],
-     [1.797e308, -1.7e308, -1e308]],
-    [[-1.797e308, -1e308, -1.7e308, 1e308],
-     [0.0, 1.797e308, -1.797e308, 1.797e308],
-     [1e308, 1e308, -1.7e308, 1.797e308],
-     [-1.797e308, -1.7e308, -1e308, 5e307]],
-    [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+    ([0.0, -1e308], [5e307, 1e308]),
+    ([-1e308, 0.0], [5e307, 1e308]),
+    ([1.7e308, 1.7e308], [1.7e308, 1.7e308]),
+    ([1e308, -1e308], [1.797e308, -1.797e308]),
+    ([5e307, -1e308, -1.797e308], [1.797e308, -1.7e308, -1e308]),
+    ([-1.797e308, 1.797e308, 1e308, -1.7e308],
+     [0.0, -1.797e308, 1e308, 5e307]),
+    ([1.7e308 + 1.7e308j, -1.7e308j], [-1.7e308 + 1e308j, 1e308 - 1.7e308j]),
 ]
 
 
-@pytest.mark.parametrize("cost", NEAR_MAX, ids=range(len(NEAR_MAX)))
-def test_near_max_costs_assign_optimally(cost):
-    # the potentials overflowed: warnings escaped on each, the loop hung on
-    # the fourth and fifth and the sixth came out non-optimal
-    n = len(cost)
-    scale = matching._scale(float(np.abs(cost).max()), n)
-    out = run_apart(f"matching._hungarian([[x / {scale!r} for x in row] "
-                    f"for row in {cost!r}], {n})")
-    assignment = ast.literal_eval(out)
-    assert sorted(assignment) == list(range(n))
-    assert optimal_at_an_eighth(cost, assignment)
+@pytest.mark.parametrize("a, b", NEAR_MAX, ids=range(len(NEAR_MAX)))
+def test_near_max_costs_assign_optimally(a, b):
+    best, optima = bottleneck_pairings(a, b)
+    out = run_apart(f"matching.pair_values({a!r}, {b!r})")
+    if best == np.inf:
+        assert out == "matched distance exceeds the float range\n"
+        return
+    perm, dist = ast.literal_eval(out)
+    assert dist == best
+    assert perm in optima
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5))
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 6))
 def test_near_max_assignment_matches_brute_force(seed, n):
     rng = np.random.default_rng(seed)
-    cost = rng.uniform(-1.0, 1.0, size=(n, n)) * np.finfo(float).max
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assignment = hungarian(cost)
-        assert optimal_at_an_eighth(cost, assignment)
+    assert_bottleneck_optimum(draw_values(rng, n, TOP, "real"),
+                              draw_values(rng, n, TOP, "real"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 6))
+def test_near_max_pairing_matches_brute_force(seed, n):
+    rng = np.random.default_rng(seed)
+    assert_bottleneck_optimum(draw_values(rng, n, TOP, "complex"),
+                              draw_values(rng, n, TOP, "complex"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6),
+       pool=st.sampled_from([[0.0, 1.0, 2.0], [0.0, 1j, -1j],
+                             [1e308, -1e308, 0.0]]))
+def test_repeated_values_match_brute_force(data, n, pool):
+    # tied pairings abound, and some reach a distance past the float range
+    # while others stay in it
+    values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    assert_bottleneck_optimum(data.draw(values), data.draw(values))
 
 
 def test_pair_values_near_max():
@@ -160,94 +183,33 @@ def test_pair_values_near_max():
         a = [1e308 + 1e308j, -1e308]
         b = [-1e308 + 1e307j, 1e308 + 9e307j]
         perm, dist = matching.pair_values(a, b)
-        # an unused assignment total of 2e308 refused this pairing
-        assert (matching.pair_values([1e308, -1e308], [0.0, 0.0])
-                == ([0, 1], 1e308))
+        # an unused assignment total of 2e308 refused this pairing; both
+        # pairings reach the distance 1e308
+        tied = matching.pair_values([1e308, -1e308], [0.0, 0.0])
     assert perm == [1, 0]
     assert dist == pytest.approx(max(abs(a[0] - b[1]), abs(a[1] - b[0])),
                                  rel=1e-15)
-
-
-def optimal_pairings(a, b):
-    """Every pairing of the values a and b (n <= 5) whose summed distance,
-    taken at an exact 64th (where five distances of complex values sum
-    below the float maximum), is least up to rounding; each as (perm,
-    largest distance at a 64th)."""
-    cost = np.abs(np.asarray(a)[:, None] / 64.0
-                  - np.asarray(b)[None, :] / 64.0).tolist()
-    n = len(a)
-    perms = [(p, [cost[i][p[i]] for i in range(n)])
-             for p in itertools.permutations(range(n))]
-    best = min(sum(d) for _, d in perms)
-    return [(list(p), max(d)) for p, d in perms
-            if sum(d) <= best * (1.0 + 1e-12)]
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 5),
-       parts=st.sampled_from(["real", "complex"]))
-def test_near_max_pairing_matches_brute_force(seed, n, parts):
-    rng = np.random.default_rng(seed)
-    top = np.finfo(float).max
-
-    def draw():
-        v = rng.uniform(-1.0, 1.0, n) * top
-        if parts == "complex":
-            v = v + 1j * rng.uniform(-1.0, 1.0, n) * top
-        return v
-
-    a, b = draw(), draw()
-    best = optimal_pairings(a, b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            perm, dist = matching.pair_values(a, b)
-        except ValueError as exc:
-            # refused only when a least pairing, the one chosen among ties,
-            # matches two values more than the float maximum apart
-            assert str(exc) == "matched distance exceeds the float range"
-            assert any(peak > top / 64.0 for _, peak in best)
-            return
-    peaks = {tuple(p): peak for p, peak in best}
-    assert tuple(perm) in peaks
-    assert dist == pytest.approx(64.0 * peaks[tuple(perm)], rel=1e-15)
-
-
-def square(entries):
-    """n x n nested lists drawn from ``entries``, n in 1..6."""
-    return st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
-                           min_size=n, max_size=n))
-
-
-def numpy_loop_assignment(cost):
-    """The numpy loop's assignment. Where it refuses the total, which it
-    does only on costs it divides by 2**bit_length(4n + 2), it is asked for
-    the assignment of the costs so divided, on which it runs the same
-    loop."""
-    try:
-        return min_weight_assignment_numpy(cost)[0]
-    except ValueError:
-        n = len(cost)
-        scaled = np.asarray(cost) / 2.0 ** (4 * n + 2).bit_length()
-        return min_weight_assignment_numpy(scaled)[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(cost=st.one_of(
-    square(st.floats(-1e300, 1e300)),
-    square(st.sampled_from([0.0, 1.0, 2.0])),
-    st.sampled_from(NEAR_MAX)))
-def test_assignment_matches_numpy_loop(cost):
-    # the loop on Python floats makes the numpy loop's subtractions and
-    # comparisons in the same order: the same assignment, ties included
-    assert hungarian(cost) == numpy_loop_assignment(cost)
+    perm, dist = tied
+    assert dist == 1e308
+    assert perm in bottleneck_pairings([1e308, -1e308], [0.0, 0.0])[1]
 
 
 def test_empty_value_lists_pair_at_distance_zero():
     # max() of no distances raised a bare ValueError
     assert matching.pair_values([], []) == ([], 0.0)
     assert matching.matched_distance([], []) == 0.0
+
+
+@pytest.mark.parametrize("a", [[0.0, -1e308], [-1e308, 0.0]],
+                         ids=["in_order", "swapped"])
+def test_tied_total_pairs_at_least_largest_distance(a):
+    # the least-total pairings tie at 1.5e308 + inf in both orders; the
+    # Hungarian loop kept the one that matches -1e308 with 1e308 in the
+    # first order and refused it as past the float range
+    b = [5e307, 1e308]
+    perm, dist = matching.pair_values(a, b)
+    assert dist == 1.5e308
+    assert dict(zip(a, (b[j] for j in perm))) == {0.0: 1e308, -1e308: 5e307}
 
 
 def test_pair_values_of_a_matrix_refused():
