@@ -299,8 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix(p)
     p.add_argument("--seeds", type=int, default=8,
                    help="number of unit-circle start points (default 8)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=3.0)
+    p.add_argument("--t0", type=float, default=0.0,
+                   help="start time (default 0); a negative value with an "
+                        "exponent needs the = form (--t0=-1e-3)")
+    p.add_argument("--t1", type=float, default=3.0,
+                   help="end time (default 3); a negative value with an "
+                        "exponent needs the = form (--t1=-1e-3)")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 

@@ -55,60 +55,46 @@ class ConjugacyClass:
     d: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Verdict:
     """Classification outcome: kind is one of the three module constants.
 
     ``witness`` is an on-axis eigenvalue for non-hyperbolic verdicts (the one
     with smallest |Re|, ties broken by |Im| then lexicographically), None
-    otherwise. The spectrum, the validated ``matrix`` and its 2-norm ``norm``
-    (taken for the default tau, else by ``margin``'s first SVD or on first
-    use) go with the verdict to the functions it is passed on to, so a
-    request analyses its matrix once.
+    otherwise. The spectrum and the validated ``matrix`` go with the verdict
+    to the functions it is passed on to, so a request analyses its matrix
+    once.
     """
 
     kind: str
     inertia: Inertia
     witness: complex | None
     spectrum: spectral.Spectrum
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    _norm: float | None = field(default=None, repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def is_hyperbolic(self) -> bool:
         return self.kind == HYPERBOLIC
 
-    @property
-    def norm(self) -> float:
-        if self._norm is None:
-            self._norm = densemat.op_norm2(self.matrix)
-        return self._norm
 
+def default_tolerance(a) -> float:
+    """Relative axis tolerance 1e-9 * (1 + ||A||_2), finite for every
+    finite real or complex A.
 
-def _tolerance(a, norm: float) -> float:
-    """1e-9 * (1 + norm) for the finite, real or complex matrix ``a`` of
-    2-norm ``norm``.
-
-    Where the norm passes the float range, the same value is formed as
+    Where ||A||_2 passes the float range, the same value is formed as
     2**e * 1e-9 * (2**-e + ||2**-e A||_2), with A scaled by an exact power
     of two to entries whose real and imaginary parts are below 1 (as
-    ``spectral.eigenvalues`` scales its residual bound), so that every
-    finite matrix gets a finite tau. The scaling multiplies by 2**-e, which
-    gives np.ldexp's bits on real entries and keeps the imaginary parts of
-    complex ones.
+    ``spectral.eigenvalues`` scales its residual bound). The scaling
+    multiplies by 2**-e, which gives np.ldexp's bits on real entries and
+    keeps the imaginary parts of complex ones.
     """
+    norm = densemat.op_norm2(a)
     if norm < math.inf:
         return 1e-9 * (1.0 + norm)
     m = np.asarray(a)
     e = densemat._scale_exponent(m)
     scaled = densemat.op_norm2(m * 2.0 ** -e)
     return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
-
-
-def default_tolerance(a) -> float:
-    """Relative axis tolerance 1e-9 * (1 + ||A||_2), finite for every
-    finite real or complex A."""
-    return _tolerance(a, densemat.op_norm2(a))
 
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
@@ -132,14 +118,13 @@ def classify(a, tau: float | None = None) -> Verdict:
 
     Hyperbolic requires every |Re lambda| to clear tau by more than the
     eigenvalue accuracy estimate; NonHyperbolic means some |Re lambda| <= tau
-    (a witness is attached); anything in between is Indeterminate. Raises
-    ValueError when an eigenvalue passes the float range.
+    (a witness is attached); anything in between is Indeterminate. tau
+    defaults to ``default_tolerance(A)``, the only use of ||A||_2 here.
+    Raises ValueError when an eigenvalue passes the float range.
     """
     m = densemat.as_matrix(a)
-    norm = None
     if tau is None:
-        norm = densemat.op_norm2(m)
-        tau = _tolerance(m, norm)
+        tau = default_tolerance(m)
     spec = spectral.eigenvalues(m)
     # a finite matrix can have eigenvalues past the float maximum (up to
     # d times it); LAPACK returns them as inf, which no report can carry
@@ -152,7 +137,7 @@ def classify(a, tau: float | None = None) -> Verdict:
     elif np.min(np.abs(spec.values.real)) > tau + spec.residual_bound:
         kind = HYPERBOLIC
     return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
-                   matrix=m, _norm=norm)
+                   matrix=m)
 
 
 def conjugacy_class(a, tau: float | None = None) -> ConjugacyClass:

@@ -215,23 +215,19 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
 
     omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
     evals = len(omegas)
-    if verdict._norm is None:
-        # omegas[0] is 0, so the stack's first matrix is A itself, and its
-        # largest singular value is op_norm2(A) bit for bit
-        sv = densemat._singular_values(shifted(omegas))
-        verdict._norm, first = float(sv[0, 0]), sv[:, -1].tolist()
-    else:
-        first = g(omegas)
-    gamma, omega_star = min(zip(first, omegas))
-    norm = verdict.norm
+    # omegas[0] is 0, so the stack's first matrix is A itself, and its
+    # largest singular value is op_norm2(A) bit for bit
+    sv = densemat._singular_values(shifted(omegas))
+    norm = float(sv[0, 0])
+    gamma, omega_star = min(zip(sv[:, -1].tolist(), omegas))
     if norm == math.inf:
         # the rounding floor would be inf too. The distance scales with A,
         # so bracket 2**-e A, whose entries are below 1, and scale back.
         e = math.frexp(float(np.abs(m).max()))[1]
         spectrum = replace(verdict.spectrum,
                            values=verdict.spectrum.values * math.ldexp(1.0, -e))
-        r = _margin(replace(verdict, matrix=np.ldexp(m, -e), spectrum=spectrum,
-                            _norm=None), tol)
+        r = _margin(replace(verdict, matrix=np.ldexp(m, -e), spectrum=spectrum),
+                    tol)
         return MarginResult(lower=math.ldexp(r.lower, e),
                             upper=math.ldexp(r.upper, e),
                             omega_star=math.ldexp(r.omega_star, e),
@@ -493,7 +489,8 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     geometric from 1 to ``conditioning``, so that T has exactly the
     requested condition number. Q1 and Q2 are Haar-random orthogonal
     matrices, the sign-fixed Q factors of one stacked QR of Gaussian draws
-    (Mezzadri 2007; see ``_random_orthogonal``).
+    (Mezzadri 2007; see ``_random_orthogonal``). Raises ValueError when
+    T core T^-1 passes the float range.
     """
     if cls.s < 0 or cls.u < 0 or cls.s + cls.u != cls.d or cls.d < 1:
         raise InvalidClass(f"inconsistent class (s={cls.s}, u={cls.u}, d={cls.d})")
@@ -518,7 +515,12 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     sig = conditioning ** np.linspace(0.0, 1.0, d)
     t = (q1 * sig) @ q2.T
     t_inv = (q2 / sig) @ q1.T
-    return t @ core @ t_inv
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = t @ core @ t_inv
+    if not np.isfinite(a).all():
+        raise ValueError("generated matrix entries must be finite: "
+                         "T core T^-1 passes the float range")
+    return a
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -34,6 +35,35 @@ def test_public_surface_is_pinned():
     assert len(PUBLIC) == 50
     for name in PUBLIC:
         assert hasattr(hypflow, name), name
+
+
+# The public records: each one's field names, in order, and whether it is
+# frozen. Adding or removing a field is meant to show up here.
+RECORDS = {
+    "CampaignReport": (("base_inertia", "samples", "radius", "flips", "seed",
+                        "flip_witnesses"), False),
+    "CharPoly": (("coeffs",), False),
+    "ConjugacyClass": (("s", "u", "d"), True),
+    "ContinuityReport": (("pairings", "max_mismatch", "monotone_tail"), False),
+    "HyperbolizeResult": (("epsilon", "shifted", "delta"), False),
+    "Inertia": (("s", "u", "c", "tau"), True),
+    "MarginResult": (("lower", "upper", "omega_star", "iterations", "solves"),
+                     False),
+    "Spectrum": (("values", "residual_bound"), False),
+    "SplittingBases": (("stable", "unstable"), False),
+    "Trajectory": (("times", "states", "origin"), False),
+    "Verdict": (("kind", "inertia", "witness", "spectrum", "matrix"), True),
+}
+
+
+def test_public_records_are_pinned():
+    records = {name for name in PUBLIC
+               if dataclasses.is_dataclass(getattr(hypflow, name))}
+    assert records == set(RECORDS)
+    for name, (fields, frozen) in RECORDS.items():
+        cls = getattr(hypflow, name)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields, name
+        assert cls.__dataclass_params__.frozen is frozen, name
 
 
 # Every question about a matrix asks it of a real one.

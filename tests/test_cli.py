@@ -470,6 +470,23 @@ class TestPortrait:
         assert code == 1
 
 
+    def test_negative_exponent_time_needs_equals_form(self, capsys, saddle,
+                                                       tmp_path, monkeypatch):
+        # argparse takes -1e3 for an option, though it takes -1.5 for a number
+        monkeypatch.setenv("COLUMNS", "200")  # no wrap inside the help
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["portrait", saddle, "--t0", "-1e3"])
+        assert exc.value.code == 1
+        assert "--t0: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["portrait", "--help"])
+        usage = capsys.readouterr().out
+        assert "--t0=-1e-3" in usage and "--t1=-1e-3" in usage
+        code, out, _ = run(capsys, "portrait", saddle, "--t0=-1e-3",
+                           "--out", str(tmp_path / "s.svg"))
+        assert code == 0
+        assert out == "s=1 u=1\n"
+
     def test_classifies_once(self, capsys, saddle, tmp_path, monkeypatch):
         calls = []
         classify = inertia.classify

@@ -254,28 +254,44 @@ class TestMargin:
         # sigma_min values that confirm every crossing but lower gamma by
         # less than the slack per level never reach the distance 0.01
         state = [1.0]
+        true_singular_values = densemat._singular_values
 
         def creeping(mats):
             state[0] *= 1.0 - 0.6 * robustness._SLACK
-            return np.full(len(mats), state[0])
+            return np.full(np.shape(mats)[:-2], state[0])
+
+        def first_stack(mats):
+            # margin's first stack: true values, creeping sigma_min
+            sv = true_singular_values(mats)
+            sv[..., -1] = creeping(mats)
+            return sv
 
         monkeypatch.setattr(spectral, "sigma_min_many", creeping)
+        monkeypatch.setattr(densemat, "_singular_values", first_stack)
         with pytest.raises(NonConvergence):
             robustness.margin(np.diag([-0.01, 2.0]))
 
-    def test_norm_from_first_svd_is_op_norm2(self, rng):
-        # given tau, classify takes no norm, and margin reads ||A||_2 off
-        # its first stacked SVD, whose first matrix is A itself: that must
-        # be op_norm2's value bit for bit, and so the bracket must be too
+    def test_norm_from_first_svd_is_op_norm2(self, rng, monkeypatch):
+        # margin reads ||A||_2 off its first stacked SVD, whose first matrix
+        # is A itself: that must be op_norm2's value bit for bit, and the
+        # bracket must not depend on whether classify took the norm for
+        # the default tau or was given that tau
+        stacks = []
+        true_singular_values = densemat._singular_values
+
+        def recording(mats):
+            stacks.append(true_singular_values(mats))
+            return stacks[-1]
+
+        monkeypatch.setattr(densemat, "_singular_values", recording)
         for _ in range(300):
             d = int(rng.integers(1, 9))
             a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-5.0, 5.0)
-            v = inertia.classify(a, 0.0)
-            assert v._norm is None
+            v = inertia.classify(a)
+            stacks.clear()
             m = robustness._margin(v, 1e-6)
-            assert v._norm == densemat.op_norm2(a)
-            w = inertia.classify(a, 0.0)
-            assert w.norm == v._norm
+            assert stacks[0][0, 0] == densemat.op_norm2(a)
+            w = inertia.classify(a, inertia.default_tolerance(a))
             ref = robustness._margin(w, 1e-6)
             assert ((m.lower, m.upper, m.omega_star, m.iterations, m.solves)
                     == (ref.lower, ref.upper, ref.omega_star, ref.iterations,
@@ -748,6 +764,16 @@ class TestGenerate:
         for cond in (0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and >= 1"):
                 robustness.generate(ConjugacyClass(1, 1, 2), cond, seed=0)
+
+    @pytest.mark.parametrize("cls, seed", [((2, 0, 2), 2), ((1, 1, 2), 1)],
+                             ids=["stable", "saddle"])
+    def test_float_range_refused(self, cls, seed):
+        # T core T^-1 overflowed in the matmul with a RuntimeWarning, and
+        # the matrix came back with non-finite entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="passes the float range$"):
+                robustness.generate(ConjugacyClass(*cls), 1.7e308, seed)
 
     def test_matches_gram_schmidt_oracle(self, monkeypatch):
         # Gram-Schmidt and the sign-fixed QR give the same Q in exact
