@@ -70,9 +70,9 @@ def _scale_exponent(m) -> int:
 def _singular_values(ms) -> np.ndarray:
     """Descending singular values of a matrix or a (B, d, d) stack (LAPACK SVD).
 
-    The SVD is complex even for real input, so that ``op_norm2`` and
-    ``spectral.sigma_min_many`` share one LAPACK routine: loading the real
-    one as well costs about 0.5 MB of resident memory. LAPACK gives nan for
+    The package's one SVD path. It is complex even for real input, so that
+    every caller shares one LAPACK routine: loading the real one as well
+    costs about 0.5 MB of resident memory. LAPACK gives nan for
     a finite matrix with an entry whose modulus passes the float range;
     that matrix's values are those of 2**-e M (``_scale_exponent``) scaled
     back by 2**e, inf where they pass the range. Every other matrix keeps

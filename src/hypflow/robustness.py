@@ -211,7 +211,7 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
         return m - 1j * np.array(omegas)[:, None, None] * eye
 
     def g(omegas):
-        return spectral.sigma_min_many(shifted(omegas)).tolist()
+        return densemat._singular_values(shifted(omegas))[:, -1].tolist()
 
     omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
     evals = len(omegas)

@@ -199,16 +199,4 @@ def poly_roots(p) -> Spectrum:
 def sigma_min(m) -> float:
     """Smallest singular value, by SVD of M itself (no Gram matrix); inf
     where it passes the float range."""
-    return float(sigma_min_many(as_matrix(m, complex)[None])[0])
-
-
-def sigma_min_many(mats) -> np.ndarray:
-    """sigma_min for a stack of matrices (B, d, d), by one batched LAPACK SVD.
-
-    The SVD works on each M directly, so a singular value near eps*||M||
-    keeps its accuracy instead of being squared away as in M^H M.
-    """
-    ms = np.asarray(mats)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
-        raise DimensionMismatch(f"expected a (B, d, d) stack, got {ms.shape}")
-    return _singular_values(ms)[:, -1]
+    return float(_singular_values(as_matrix(m, complex))[-1])

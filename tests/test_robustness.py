@@ -257,17 +257,13 @@ class TestMargin:
         true_singular_values = densemat._singular_values
 
         def creeping(mats):
+            # every evaluation: true values, a creeping sigma_min
             state[0] *= 1.0 - 0.6 * robustness._SLACK
-            return np.full(np.shape(mats)[:-2], state[0])
-
-        def first_stack(mats):
-            # margin's first stack: true values, creeping sigma_min
             sv = true_singular_values(mats)
-            sv[..., -1] = creeping(mats)
+            sv[..., -1] = state[0]
             return sv
 
-        monkeypatch.setattr(spectral, "sigma_min_many", creeping)
-        monkeypatch.setattr(densemat, "_singular_values", first_stack)
+        monkeypatch.setattr(densemat, "_singular_values", creeping)
         with pytest.raises(NonConvergence):
             robustness.margin(np.diag([-0.01, 2.0]))
 

@@ -188,13 +188,8 @@ class TestSigmaMin:
         q = np.array([[c, -s], [s, c]])
         m = q @ np.diag([1.0, 1e-10]) @ q.T
         assert spectral.sigma_min(m) == pytest.approx(1e-10, rel=1e-6)
-        assert spectral.sigma_min_many(m[None]) == pytest.approx([1e-10], rel=1e-6)
-
-    @pytest.mark.parametrize("mats", [np.eye(2), np.zeros((2, 2, 3)),
-                                      np.zeros((1, 0, 0))])
-    def test_many_shape_refused(self, mats):
-        with pytest.raises(DimensionMismatch, match="expected a \\(B, d, d\\) stack"):
-            spectral.sigma_min_many(mats)
+        assert densemat._singular_values(m[None])[:, -1] == pytest.approx(
+            [1e-10], rel=1e-6)
 
     def test_modulus_beyond_float_range(self):
         # LAPACK's SVD gave nan, with no warning, for an entry whose modulus
@@ -205,19 +200,19 @@ class TestSigmaMin:
             assert spectral.sigma_min(np.array([[big, 0], [0, 1]])) == 1.0
             assert spectral.sigma_min(np.array([[big, 0], [0, 0.375]])) == 0.375
             assert spectral.sigma_min(np.array([[big]])) == np.inf
-            # in a stack, only that matrix is scaled: sigma_min_many and
+            # in a stack, only that matrix is scaled: the stacked values and
             # sigma_min agree, and the others keep LAPACK's values
             stack = np.array([[[big, 0], [0, 0.375]], [[1, 2], [3, 4]]])
-            assert spectral.sigma_min_many(stack).tolist() == [
+            assert densemat._singular_values(stack)[:, -1].tolist() == [
                 0.375, spectral.sigma_min(stack[1])]
             # no power of two scales an infinite entry: LAPACK's nan stands
-            assert np.isnan(spectral.sigma_min_many(np.array([[[np.inf]]]))[0])
+            assert np.isnan(
+                densemat._singular_values(np.array([[[np.inf]]]))[0, -1])
 
     def test_batched_matches_scalar(self, rng):
         mats = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
-        batch = spectral.sigma_min_many(mats)
-        singles = [spectral.sigma_min(m) for m in mats]
-        np.testing.assert_allclose(batch, singles, atol=1e-12)
+        batch = densemat._singular_values(mats)[:, -1].tolist()
+        assert batch == [spectral.sigma_min(m) for m in mats]
 
 
 @settings(max_examples=30, deadline=None)
