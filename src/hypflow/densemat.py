@@ -48,6 +48,19 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a Python float, refused unless a real number: strings,
+    bytes, None and complex values raise a ValueError that names ``name``.
+    A number past the float range becomes inf of its sign, for the caller's
+    range check to refuse."""
+    if not isinstance(value, (numbers.Real, np.bool_)):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:  # a Python integer or Fraction
+        return math.inf if value > 0 else -math.inf
+
+
 def as_matrix(a, dtype=float) -> np.ndarray:
     """Validate and return a square matrix as an array copy of ``dtype``.
 
@@ -93,8 +106,14 @@ def _singular_values(ms) -> np.ndarray:
 
 def det(a) -> float:
     """Determinant by LU with partial pivoting (LAPACK getrf); singular
-    matrices return 0 up to rounding."""
-    return float(np.linalg.det(as_matrix(a)))
+    matrices return 0 up to rounding. Raises ValueError where it passes the
+    float range."""
+    m = as_matrix(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.det(m))
+    if not math.isfinite(value):
+        raise ValueError("determinant passes the float range")
+    return value
 
 
 def op_norm2(a) -> float:

@@ -4,6 +4,7 @@ subspaces, and 2-D phase portraits as SVG documents.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ def expm_many(stack) -> np.ndarray:
     others take their 2-norms from one stacked SVD.
     Stacked LAPACK and BLAS calls run the same routine on each matrix, so
     every result is bit for bit the exponential of that matrix alone.
-    Squarings that overflow give inf or nan entries.
+    Raises FlowOverflow, naming the first matrix of the stack, where a
+    computed exponential passes the float range.
     """
     ms = densemat._entries(stack, "matrix")
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
@@ -105,9 +107,15 @@ def expm_many(stack) -> np.ndarray:
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
     x = np.linalg.solve(v - u, v + u)
-    for k in range(int(j.max(initial=0))):
-        more = j > k
-        x[more] = x[more] @ x[more]
+    # squarings that overflow leave inf or nan entries, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(j.max(initial=0))):
+            more = j > k
+            x[more] = x[more] @ x[more]
+    finite = np.isfinite(x).all(axis=(1, 2))
+    if not finite.all():
+        raise FlowOverflow(f"the exponential of stack matrix "
+                           f"{np.argmin(finite)} passes the float range")
     return x
 
 
@@ -158,7 +166,15 @@ def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         gens = np.array([times[0]] * lead + dts)[:, None, None] * m
         finite = np.isfinite(gens).all(axis=(1, 2))
         gens[~finite] = 0.0  # a stand-in: its first time is refused below
-        mats = expm_many(gens)
+        try:
+            mats = expm_many(gens)
+        except FlowOverflow:
+            # each matrix alone gets its bits in the stack; nan marks one
+            # whose exponential passes the float range
+            mats = np.full_like(gens, np.nan)
+            for k in range(len(gens)):
+                with contextlib.suppress(FlowOverflow):
+                    mats[k] = expm_many(gens[k:k + 1])[0]
         finite &= np.isfinite(mats).all(axis=(1, 2))
         # a bound dot is the cheapest call for one state; a stack needs matmul
         steps = [s.dot if x.ndim == 1 else functools.partial(np.matmul, s)
@@ -293,7 +309,8 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
     if m.shape[0] != 2:
         raise UnsupportedDimension("portraits are only drawn for 2x2 matrices")
     steps = densemat._count(steps, "steps", 1)
-    t0, t1 = float(t_range[0]), float(t_range[1])
+    t0 = densemat._real(t_range[0], "t_range")
+    t1 = densemat._real(t_range[1], "t_range")
     if not t1 > t0:
         raise NonAscendingGrid("t_range must satisfy t0 < t1")
     xs = np.array([_state(x0, 2) for x0 in x0_set]).reshape(-1, 2, 1)

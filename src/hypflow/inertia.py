@@ -99,7 +99,7 @@ def default_tolerance(a) -> float:
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
     """Count eigenvalues left of, right of, and inside the axis band."""
-    if not 0 <= tau < np.inf:
+    if not 0 <= densemat._real(tau, "tau") < np.inf:
         raise ValueError("tau must be finite and >= 0")
     re = np.real(np.asarray(spec.values))
     s = int(np.sum(re < -tau))

@@ -136,7 +136,8 @@ def hyperbolize(a, tau: float | None = None,
     matrix. Raises ShiftTooSmall if the computed eps does not clear the
     tolerance band, and ValueError if A + eps*I passes the float range.
     """
-    if eps_cap is not None and not 0 < eps_cap < math.inf:
+    if (eps_cap is not None
+            and not 0 < densemat._real(eps_cap, "eps_cap") < math.inf):
         raise ValueError("eps_cap must be finite and > 0")
     verdict = classify(a, tau)
     m, tau = verdict.matrix, verdict.inertia.tau
@@ -198,6 +199,7 @@ def margin(a, tau: float | None = None, tol: float = 1e-6) -> MarginResult:
 
 def _margin(verdict: Verdict, tol: float) -> MarginResult:
     """``margin`` of the matrix that ``verdict`` classified."""
+    tol = densemat._real(tol, "tol")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if not verdict.is_hyperbolic:
@@ -344,7 +346,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
     """``perturb_campaign`` around the matrix that ``verdict`` classified."""
     samples = densemat._count(samples, "samples", 1)
-    if not 0 < radius < math.inf:
+    if not 0 < densemat._real(radius, "radius") < math.inf:
         raise ValueError("radius must be finite and > 0")
     seed = densemat._count(seed, "seed", 0)
     if not verdict.is_hyperbolic:
@@ -454,10 +456,15 @@ def continuity_check(h, sequence) -> ContinuityReport:
 
 
 def vieta_check(a) -> float:
-    """Normalized gap between the eigenvalue product and the determinant."""
+    """Normalized gap between the eigenvalue product and the determinant.
+    Raises ValueError where the product or the determinant passes the
+    float range."""
     m = densemat.as_matrix(a)
     spec = spectral.eigenvalues(m)
-    prod = complex(np.prod(spec.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = complex(np.prod(spec.values))
+    if not np.isfinite(prod):
+        raise ValueError("eigenvalue product passes the float range")
     d = densemat.det(m)
     return float(abs(prod - d) / (1.0 + abs(d)))
 
@@ -492,9 +499,12 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     (Mezzadri 2007; see ``_random_orthogonal``). Raises ValueError when
     T core T^-1 passes the float range.
     """
+    for name in ("s", "u", "d"):
+        if not isinstance(getattr(cls, name), (int, np.integer)):
+            raise InvalidClass(f"class field {name} must be an integer")
     if cls.s < 0 or cls.u < 0 or cls.s + cls.u != cls.d or cls.d < 1:
         raise InvalidClass(f"inconsistent class (s={cls.s}, u={cls.u}, d={cls.d})")
-    if not 1.0 <= conditioning < math.inf:
+    if not 1.0 <= densemat._real(conditioning, "conditioning") < math.inf:
         raise ValueError("conditioning must be finite and >= 1")
     seed = densemat._count(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))

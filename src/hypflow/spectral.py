@@ -93,17 +93,24 @@ def eigenvalues_many(mats) -> np.ndarray:
 
 
 def char_poly(a) -> CharPoly:
-    """Characteristic polynomial det(A - zI) by the Faddeev-LeVerrier recurrence."""
+    """Characteristic polynomial det(A - zI) by the Faddeev-LeVerrier
+    recurrence. Raises ValueError where a coefficient passes the float
+    range."""
     m = as_matrix(a)
     n = m.shape[0]
     q = np.zeros(n + 1)
     q[n] = 1.0
     eye = np.eye(n)
     mk = eye
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = m @ mk + q[n - k + 1] * eye
-        q[n - k] = -float(np.trace(m @ mk)) / k
+    # an overflowed step leaves inf or nan in every later coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            if k > 1:
+                mk = m @ mk + q[n - k + 1] * eye
+            q[n - k] = -float(np.trace(m @ mk)) / k
+    if not np.isfinite(q).all():
+        raise ValueError(
+            "characteristic polynomial coefficients pass the float range")
     sign = -1.0 if n % 2 else 1.0
     return CharPoly(coeffs=sign * q)
 

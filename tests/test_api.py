@@ -1,5 +1,7 @@
 import ast
+import cmath
 import dataclasses
+import math
 import subprocess
 import sys
 import warnings
@@ -90,6 +92,68 @@ def test_complex_matrix_refused(name):
             REAL_MATRIX_CALLS[name](a)
 
 
+# REAL_MATRIX_CALLS and the other public functions of one matrix
+FLOAT_RANGE_CALLS = dict(REAL_MATRIX_CALLS, **{
+    "expm_many": lambda a: hypflow.expm_many([a]),
+    "op_norm2": hypflow.op_norm2,
+    "sigma_min": hypflow.sigma_min,
+    "default_tolerance": hypflow.default_tolerance,
+    "hyperbolize": hypflow.hyperbolize,
+    "flow_map": lambda a: hypflow.flow_map(a, 1.0, np.ones(len(a))),
+    "char_poly": hypflow.char_poly,
+    "vieta_check": hypflow.vieta_check,
+})
+
+FLOAT_RANGE_EDGES = {
+    "exp_overflow": [[800.0]],
+    "det_overflow": [[1e200, 0.0], [0.0, 1e200]],
+    "near_max": [[1e308, 1e308], [0.0, 1e308]],
+    "fast_rotation": [[0.0, 1e200], [-1e200, 0.0]],
+    "subnormal": [[5e-324, 0.0], [0.0, -5e-324]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+
+def _numbers(value):
+    """Every float and complex that ``value`` holds, through records,
+    arrays, lists and tuples."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, np.ndarray):
+        if value.dtype.kind in "fc":
+            yield from value.ravel().tolist()
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, (float, complex, np.inexact)):
+        yield value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", FLOAT_RANGE_EDGES)
+@pytest.mark.parametrize("name", FLOAT_RANGE_CALLS)
+def test_float_range_edges_answered_or_refused(name, edge):
+    # expm, expm_many, det, char_poly and vieta_check warned and returned
+    # inf or nan past the float range
+    a = np.array(FLOAT_RANGE_EDGES[edge])
+    try:
+        result = FLOAT_RANGE_CALLS[name](a)
+    except (hypflow.HypflowError, ValueError):
+        return
+    if name == "hyperbolize" and result.delta == math.inf:
+        # documented: no eigenvalue is off the axis
+        re = hypflow.eigenvalues(a).values.real
+        assert not (abs(re) > hypflow.default_tolerance(a)).any()
+        result = dataclasses.replace(result, delta=0.0)
+    for v in _numbers(result):
+        if name in ("op_norm2", "sigma_min") and v == math.inf:
+            # documented: the norm itself passes the float range
+            assert hypflow.op_norm2(np.ldexp(a, -1)) > np.finfo(float).max / 2
+            continue
+        assert cmath.isfinite(v), (name, edge, result)
+
+
 COMPLEX_OBJECTS = {
     "as_matrix": (lambda: hypflow.as_matrix(np.array([[1j]], dtype=object)),
                   "matrix"),
@@ -169,6 +233,80 @@ def test_non_number_entries_refused(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{what} entries must be numbers$"):
             call()
+
+
+_DIAG = np.diag([-1.0, 2.0])
+_PLANE = hypflow.ConjugacyClass(1, 1, 2)
+
+# Each scalar argument that is not a real number, and the name it is
+# refused under.
+NON_REAL_SCALARS = {
+    "tau_string": (lambda: hypflow.classify(_DIAG, "1"), "tau"),
+    "tau_complex": (lambda: hypflow.classify(_DIAG, 1j), "tau"),
+    "tau_bytes": (lambda: hypflow.inertia_of(hypflow.eigenvalues(_DIAG), b"1"),
+                  "tau"),
+    "tol": (lambda: hypflow.margin(_DIAG, tol="x"), "tol"),
+    "tol_none": (lambda: hypflow.margin(_DIAG, tol=None), "tol"),
+    "eps_cap": (lambda: hypflow.hyperbolize(_DIAG, eps_cap="x"), "eps_cap"),
+    "radius": (lambda: hypflow.perturb_campaign(_DIAG, 5, "0.1", 0), "radius"),
+    "radius_complex": (lambda: hypflow.perturb_campaign(_DIAG, 5, 0.1j, 0),
+                       "radius"),
+    "conditioning": (lambda: hypflow.generate(_PLANE, "2", 1), "conditioning"),
+    "t_range": (lambda: hypflow.portrait(_DIAG, [[1, 0]], t_range=("0", "1")),
+                "t_range"),
+    "t_range_none": (lambda: hypflow.portrait(_DIAG, [[1, 0]],
+                                              t_range=(0.0, None)), "t_range"),
+}
+
+
+@pytest.mark.parametrize("name", NON_REAL_SCALARS)
+def test_non_real_scalars_refused(name):
+    # each raised a bare TypeError from a comparison, and portrait took
+    # numeric strings for its t_range, which x0 and the time grid refuse
+    call, what = NON_REAL_SCALARS[name]
+    with pytest.raises(ValueError, match=f"^{what} must be a real number$"):
+        call()
+
+
+# A scalar past the float range, and the range message it meets.
+HUGE_SCALARS = {
+    "tau": (lambda: hypflow.classify(_DIAG, 10 ** 400),
+            "tau must be finite and >= 0"),
+    "eps_cap": (lambda: hypflow.hyperbolize(_DIAG, eps_cap=10 ** 400),
+                "eps_cap must be finite and > 0"),
+    "radius": (lambda: hypflow.perturb_campaign(_DIAG, 5, 10 ** 400, 0),
+               "radius must be finite and > 0"),
+    "conditioning": (lambda: hypflow.generate(_PLANE, Fraction(10 ** 400), 1),
+                     "conditioning must be finite and >= 1"),
+    "t_range": (lambda: hypflow.portrait(_DIAG, [[1, 0]],
+                                         t_range=(-10 ** 400, 0)),
+                "time grid entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_SCALARS)
+def test_scalars_past_float_range_refused(name):
+    # each let a bare OverflowError out of its float conversion
+    call, message = HUGE_SCALARS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_tol_past_float_range_is_clipped():
+    # tol is clipped to 1/4 at any size; 10**400 died converting to float
+    ref = hypflow.margin(_DIAG, tol=0.25)
+    got = hypflow.margin(_DIAG, tol=10 ** 400)
+    assert (got.lower, got.upper) == (ref.lower, ref.upper)
+
+
+def test_real_scalars_of_any_type_taken():
+    # bools, integers, Fractions and numpy scalars stay accepted
+    assert hypflow.classify(_DIAG, np.float32(0.5)).is_hyperbolic
+    assert hypflow.margin(_DIAG, tol=Fraction(1, 10)).lower > 0.0
+    assert hypflow.hyperbolize(_DIAG, eps_cap=True).epsilon == 0.5
+    assert hypflow.perturb_campaign(_DIAG, 5, np.int64(1), 0).flips == 0
+    assert hypflow.generate(_PLANE, 2, 1).shape == (2, 2)
+    assert hypflow.portrait(_DIAG, [[1, 0]], t_range=(0, 1)).startswith("<?xml")
 
 
 def test_import_leaves_random_and_scipy_unloaded():

@@ -46,6 +46,15 @@ def test_det_rejects_nonfinite():
         densemat.det([[np.nan, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_det_float_range_refused():
+    # numpy warned "overflow encountered in det" and returned inf
+    with pytest.raises(ValueError,
+                       match="^determinant passes the float range$"):
+        densemat.det([[1e200, 0], [0, 1e200]])
+    assert densemat.det([[1e200, 0], [0, 1e-200]]) == pytest.approx(1.0)
+
+
 def test_det_multiplicative(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))

@@ -154,6 +154,22 @@ class TestExpm:
         with pytest.raises(ValueError, match="finite"):
             flow.expm_many(stack)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [[[800.0]], [[0.0, 1e200], [-1e200, 0.0]]],
+                             ids=["overflow", "rotation"])
+    def test_float_range_refused(self, a):
+        # these warned and returned inf, or all nan, from the squarings
+        with pytest.raises(errors.FlowOverflow,
+                           match="^the exponential of stack matrix 0 "
+                                 "passes the float range$"):
+            flow.expm(a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_many_float_range_names_first_index(self):
+        stack = [[[1.0]], [[0.5]], [[800.0]], [[-800.0]], [[900.0]]]
+        with pytest.raises(errors.FlowOverflow, match=" matrix 2 "):
+            flow.expm_many(stack)
+
 
 class TestFlowMap:
     def test_time_zero_is_identity(self, rng):

@@ -250,6 +250,38 @@ class TestMargin:
         m = robustness.margin(MARGIN_FAULTS["campaign_4x4"])
         assert m.solves > 1 and m.iterations > m.solves
 
+    def test_iterations_count_every_singular_value(self, rng, monkeypatch):
+        # every g evaluation goes through densemat._singular_values; the
+        # rescaling fallback's own inner calls are not evaluations
+        taken = [0]
+        depth = [0]
+        true_singular_values = densemat._singular_values
+
+        def counting(mats):
+            if depth[0] == 0:
+                taken[0] += len(mats) if np.ndim(mats) == 3 else 1
+            depth[0] += 1
+            try:
+                return true_singular_values(mats)
+            finally:
+                depth[0] -= 1
+
+        cases = []
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            cases += [(a, 1e-6), (a, 0.05)]
+        # a first stack that needs the fallback, and a norm past the range
+        cases += [(np.array([[1e300, 1.5e308, 0.0], [-1.5e308, 1e300, 0.0],
+                             [0.0, 0.0, 1.5e308]]), 1e-6),
+                  (np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]), 1e-6)]
+        monkeypatch.setattr(densemat, "_singular_values", counting)
+        for a, tol in cases:
+            verdict = inertia.classify(a)
+            taken[0] = 0
+            m = robustness._margin(verdict, tol)
+            assert taken[0] == m.iterations
+
     def test_level_cap_raises_nonconvergence(self, monkeypatch):
         # sigma_min values that confirm every crossing but lower gamma by
         # less than the slack per level never reach the distance 0.01
@@ -719,6 +751,12 @@ class TestVieta:
     def test_identity(self):
         assert robustness.vieta_check(np.eye(5)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_refused(self):
+        # two overflow warnings, then nan
+        with pytest.raises(ValueError, match="passes the float range$"):
+            robustness.vieta_check([[1e200, 0], [0, 1e200]])
+
     def test_random_ensemble(self):
         result = robustness.run_suite("vieta", seed=5, trials=200)
         assert result.failed == 0
@@ -747,6 +785,24 @@ class TestGenerate:
     def test_invalid_class(self):
         with pytest.raises(InvalidClass):
             robustness.generate(ConjugacyClass(2, 2, 3), 1.0, seed=0)
+
+    @pytest.mark.parametrize("cls, field", [
+        # 1.5 + 0.5 == 2 passed the consistency check, then a bare TypeError
+        (ConjugacyClass(1.5, 0.5, 2), "s"),
+        # a TypeError from the comparison
+        (ConjugacyClass("1", "1", "2"), "s"),
+        (ConjugacyClass(1, 1, 2.0), "d"),
+        (ConjugacyClass(1, None, 2), "u")])
+    def test_non_integer_class_refused(self, cls, field):
+        with pytest.raises(InvalidClass,
+                           match=f"^class field {field} must be an integer$"):
+            robustness.generate(cls, 2.0, 1)
+
+    def test_bool_class_fields_taken(self):
+        # as densemat._count takes them
+        a = robustness.generate(ConjugacyClass(True, np.int64(1), 2), 2.0, 1)
+        assert np.array_equal(
+            a, robustness.generate(ConjugacyClass(1, 1, 2), 2.0, 1))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3"])
     def test_bad_seed_refused(self, seed):

@@ -129,6 +129,13 @@ class TestCharPoly:
             det = densemat.det(a)
             assert cp.coeffs[0] == pytest.approx(det, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_refused(self):
+        # the recurrence overflowed in matmul into an inf coefficient
+        with pytest.raises(ValueError, match="^characteristic polynomial "
+                                             "coefficients pass the float range$"):
+            spectral.char_poly([[1e200, 0], [0, 1e200]])
+
 
 class TestPolyRoots:
     def test_pure_imaginary_pair(self):
