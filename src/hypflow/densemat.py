@@ -29,13 +29,13 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
         # an object array of numbers takes the dtype its entries infer, so
         # that a complex entry meets the real check below
         x = np.array(x.tolist())
-    if dtype is float and np.iscomplexobj(x):
+    if dtype is float and x.dtype.kind == "c":
         raise ValueError(f"{what} entries must be real")
     try:
         x = np.array(x, dtype=dtype)
     except OverflowError:  # a Python integer past the float range
         raise ValueError(f"{what} entries must be finite") from None
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} entries must be finite")
     return x
 
@@ -43,6 +43,8 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
 def _count(value, name: str, least: int) -> int:
     """``value`` as a Python int, refused unless an integer >= ``least``.
     The ValueError names ``name``."""
+    if type(value) is int and value >= least:
+        return value
     if not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}")
     return int(value)
@@ -53,6 +55,8 @@ def _real(value, name: str) -> float:
     bytes, None and complex values raise a ValueError that names ``name``.
     A number past the float range becomes inf of its sign, for the caller's
     range check to refuse."""
+    if type(value) is float:  # the common case, ahead of the slower ABC test
+        return value
     if not isinstance(value, (numbers.Real, np.bool_)):
         raise ValueError(f"{name} must be a real number")
     try:

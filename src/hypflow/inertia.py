@@ -19,6 +19,7 @@ matrix can be called hyperbolic in a class other than its own.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -88,27 +89,47 @@ def default_tolerance(a) -> float:
     multiplies by 2**-e, which gives np.ldexp's bits on real entries and
     keeps the imaginary parts of complex ones.
     """
-    norm = densemat.op_norm2(a)
+    return _default_tolerance(densemat.as_matrix(a, complex))
+
+
+def _default_tolerance(m: np.ndarray) -> float:
+    """``default_tolerance`` of a matrix ``as_matrix`` has already validated."""
+    norm = float(densemat._singular_values(m)[0])
     if norm < math.inf:
         return 1e-9 * (1.0 + norm)
-    m = np.asarray(a)
     e = densemat._scale_exponent(m)
-    scaled = densemat.op_norm2(m * 2.0 ** -e)
+    scaled = float(densemat._singular_values(m * 2.0 ** -e)[0])
     return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
+
+
+def _tolerance(tau) -> float:
+    """``tau`` as a Python float, refused unless finite and >= 0."""
+    tau = densemat._real(tau, "tau")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
+    return tau
+
+
+def _inertia(re: list, tau: float) -> Inertia:
+    """Counts of the real parts ``re`` (Python floats) against the validated
+    ``tau``; a nan counts as on the axis."""
+    s = u = 0
+    for v in re:
+        if v < -tau:
+            s += 1
+        elif v > tau:
+            u += 1
+    return Inertia(s=s, u=u, c=len(re) - s - u, tau=tau)
 
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
     """Count eigenvalues left of, right of, and inside the axis band."""
-    if not 0 <= densemat._real(tau, "tau") < np.inf:
-        raise ValueError("tau must be finite and >= 0")
-    re = np.real(np.asarray(spec.values))
-    s = int(np.sum(re < -tau))
-    u = int(np.sum(re > tau))
-    return Inertia(s=s, u=u, c=len(re) - s - u, tau=tau)
+    tau = _tolerance(tau)
+    return _inertia(np.real(np.asarray(spec.values)).tolist(), tau)
 
 
-def _witness(values: np.ndarray, tau: float) -> complex:
-    on_axis = [complex(v) for v in values if abs(v.real) <= tau]
+def _witness(values: list, tau: float) -> complex:
+    on_axis = [v for v in values if abs(v.real) <= tau]
     on_axis.sort(key=lambda v: (abs(v.real), abs(v.imag), v.real, v.imag))
     return on_axis[0]
 
@@ -124,17 +145,20 @@ def classify(a, tau: float | None = None) -> Verdict:
     """
     m = densemat.as_matrix(a)
     if tau is None:
-        tau = default_tolerance(m)
-    spec = spectral.eigenvalues(m)
+        tau = _default_tolerance(m)
+    spec = spectral._spectrum(m)
+    values = spec.values.tolist()
     # a finite matrix can have eigenvalues past the float maximum (up to
     # d times it); LAPACK returns them as inf, which no report can carry
-    if not np.isfinite(spec.values).all():
+    if not all(map(cmath.isfinite, values)):
         raise ValueError("eigenvalues exceed the float range")
-    inr = inertia_of(spec, tau)
+    re = [v.real for v in values]
+    tau = _tolerance(tau)
+    inr = _inertia(re, tau)
     kind, witness = INDETERMINATE, None
     if inr.c > 0:
-        kind, witness = NON_HYPERBOLIC, _witness(spec.values, tau)
-    elif np.min(np.abs(spec.values.real)) > tau + spec.residual_bound:
+        kind, witness = NON_HYPERBOLIC, _witness(values, tau)
+    elif min(map(abs, re)) > tau + spec.residual_bound:
         kind = HYPERBOLIC
     return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
                    matrix=m)

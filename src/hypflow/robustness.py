@@ -206,20 +206,11 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
         return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0,
                             solves=0)
     m = verdict.matrix
-    d = m.shape[0]
-    eye = np.eye(d)
-
-    def shifted(omegas):
-        return m - 1j * np.array(omegas)[:, None, None] * eye
-
-    def g(omegas):
-        return densemat._singular_values(shifted(omegas))[:, -1].tolist()
-
     omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
     evals = len(omegas)
     # omegas[0] is 0, so the stack's first matrix is A itself, and its
     # largest singular value is op_norm2(A) bit for bit
-    sv = densemat._singular_values(shifted(omegas))
+    sv = densemat._singular_values(_shifted(m, omegas))
     norm = float(sv[0, 0])
     gamma, omega_star = min(zip(sv[:, -1].tolist(), omegas))
     if norm == math.inf:
@@ -234,32 +225,62 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
                             upper=math.ldexp(r.upper, e),
                             omega_star=math.ldexp(r.omega_star, e),
                             iterations=evals + r.iterations, solves=r.solves)
-    floor = 4 * d * _EPS * norm
-    axis_rel = math.sqrt(2 * d * _EPS)
-    ham = np.zeros((2 * d, 2 * d))
-    ham[:d, :d] = m
-    ham[d:, d:] = -m.T
-    diag = np.arange(d)
+    floor = 4 * m.shape[0] * _EPS * norm
     for solves in range(1, _MAX_SOLVES + 1):
         slack = min(gamma / 4, max(tol * gamma, _SLACK * gamma, floor))
         level = gamma - slack
-        ham[diag, d + diag] = -level
-        ham[d + diag, diag] = level
-        axis = axis_rel * (norm + level)
-        near = [abs(v.imag) for v in spectral.eigenvalues_many(ham).tolist()
-                if abs(v.real) <= axis]
-        cross = sorted((w, v) for w, v in zip(near, g(near) if near else [])
-                       if v <= level + slack / 2)
-        evals += len(near)
+        cross, near = _crossings(m, level, norm, level + slack / 2)
+        evals += near
         if not cross:
             return MarginResult(lower=level, upper=gamma, omega_star=omega_star,
                                 iterations=evals, solves=solves)
         mids = [(lo + hi) / 2 for (lo, _), (hi, _) in zip(cross, cross[1:])]
         if mids:
-            cross += zip(mids, g(mids))
+            cross += zip(mids, _sigma_min_shifted(m, mids))
             evals += len(mids)
         omega_star, gamma = min(cross, key=lambda p: p[1])
     raise NonConvergence(f"margin: crossings remained after {_MAX_SOLVES} levels")
+
+
+def _shifted(m: np.ndarray, omegas: list) -> np.ndarray:
+    """The stack of A - i*omega*I over ``omegas``: i*omega subtracted on the
+    diagonal of a complex copy of A for each omega."""
+    k, d = len(omegas), m.shape[0]
+    stack = m.astype(complex).reshape(1, d * d).repeat(k, axis=0)
+    stack[:, ::d + 1] -= 1j * np.array(omegas)[:, None]
+    return stack.reshape(k, d, d)
+
+
+def _sigma_min_shifted(m: np.ndarray, omegas: list) -> list:
+    """g(omega) = sigma_min(A - i*omega*I) for each omega, as Python floats."""
+    return densemat._singular_values(_shifted(m, omegas))[:, -1].tolist()
+
+
+def _crossings(m: np.ndarray, level: float, norm: float, accept: float):
+    """The level test of ``margin``: the crossings of ``level`` by g, as
+    sorted (omega, g(omega)) pairs, and the number of g evaluations made.
+
+    One eigensolve of [[A, -l I], [l I, -A^T]] at l = ``level``, with
+    ``norm`` = ||A||_2; an eigenvalue within sqrt(2d*eps)*(``norm`` + l) of
+    the axis is a candidate at omega = |Im lambda|, and a crossing where
+    g(omega) <= ``accept``.
+    """
+    d = m.shape[0]
+    ham = np.zeros((2 * d, 2 * d))
+    ham[:d, :d] = m
+    ham[d:, d:] = -m.T
+    # the diagonals of the off-diagonal blocks, as strided views of ham
+    flat = ham.reshape(4 * d * d)
+    flat[d:2 * d * d:2 * d + 1] = -level
+    flat[2 * d * d::2 * d + 1] = level
+    axis = math.sqrt(2 * d * _EPS) * (norm + level)
+    near = [abs(v.imag) for v in spectral.eigenvalues_many(ham).tolist()
+            if abs(v.real) <= axis]
+    if not near:
+        return [], 0
+    cross = sorted((w, v) for w, v in zip(near, _sigma_min_shifted(m, near))
+                   if v <= accept)
+    return cross, len(near)
 
 
 def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
@@ -363,9 +384,13 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             rng.standard_normal(out=g[j])
             frac[j] = 1.0 - rng.random()
         norm_g = densemat._singular_values(g)[:, 0]
-        drawn = np.flatnonzero(norm_g)
+        if not norm_g.all():
+            # a direction of norm 0 has no scale to the radius: drop it
+            kept = np.flatnonzero(norm_g)
+            g, frac, norm_g = g[kept], frac[kept], norm_g[kept]
+            block = [block[j] for j in kept.tolist()]
         with np.errstate(over="ignore"):
-            e = g[drawn] * (radius * frac[drawn] / norm_g[drawn])[:, None, None]
+            e = g * (radius * frac / norm_g)[:, None, None]
             perturbed = m + e
         level = tau
         if not np.isfinite(perturbed).all():
@@ -374,19 +399,19 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             # inertias, with 2**-x taking A and the radius below 1
             over = np.flatnonzero(~np.isfinite(perturbed).all(axis=(1, 2)))
             x = math.frexp(max(float(np.abs(m).max()), radius))[1]
-            k = drawn[over]
-            scaled = g[k] * (math.ldexp(radius, -x) * frac[k]
-                             / norm_g[k])[:, None, None]
+            scaled = g[over] * (math.ldexp(radius, -x) * frac[over]
+                                / norm_g[over])[:, None, None]
             perturbed[over] = np.ldexp(m, -x) + scaled
-            level = np.full((len(drawn), 1), tau)
+            level = np.full((len(block), 1), tau)
             level[over] = math.ldexp(tau, -x)
             e[over] = np.ldexp(scaled, x)
         re = spectral.eigenvalues_many(perturbed).real
-        flipped = np.flatnonzero(((re < -level).sum(axis=1) != base.s)
-                                 | ((re > level).sum(axis=1) != base.u))
-        flips += flipped.size
-        for j in flipped[:10 - len(witnesses)]:
-            witnesses.append((start + int(drawn[j]), e[j].copy()))
+        flipped = (((re < -level).sum(axis=1) != base.s)
+                   | ((re > level).sum(axis=1) != base.u)).tolist()
+        hits = [j for j, f in enumerate(flipped) if f]
+        flips += len(hits)
+        for j in hits[:10 - len(witnesses)]:
+            witnesses.append((block[j], e[j].copy()))
     return CampaignReport(base_inertia=base, samples=samples, radius=radius,
                           flips=flips, seed=seed, flip_witnesses=witnesses)
 
@@ -511,18 +536,26 @@ def generate(cls: ConjugacyClass, conditioning: float = 1.0,
     d = cls.d
     core = np.zeros((d, d))
     at = 0
-    for count, sign in ((cls.s, -1.0), (cls.u, 1.0)):
+    for count, sign in ((int(cls.s), -1.0), (int(cls.u), 1.0)):
         pairs = int(rng.integers(0, count // 2 + 1))
-        for _ in range(pairs):
-            re = sign * rng.uniform(0.1, 2.0)
-            im = rng.uniform(0.1, 2.0)
+        # the side's values in stream order: the real and imaginary part of
+        # each pair, then each real eigenvalue
+        values = rng.uniform(0.1, 2.0, size=count).tolist()
+        for k in range(pairs):
+            re, im = sign * values[2 * k], values[2 * k + 1]
             core[at:at + 2, at:at + 2] = [[re, im], [-im, re]]
             at += 2
-        for _ in range(count - 2 * pairs):
-            core[at, at] = sign * rng.uniform(0.1, 2.0)
+        for re in values[2 * pairs:]:
+            core[at, at] = sign * re
             at += 1
     q1, q2 = _random_orthogonal(rng, 2, d)
-    sig = conditioning ** np.linspace(0.0, 1.0, d)
+    # the exponents np.linspace(0, 1, d) gives, bit for bit: k/(d - 1) as
+    # k * (1/(d - 1)), and 1 at the end
+    step = 1.0 / max(d - 1, 1)
+    exponents = [k * step for k in range(d)]
+    if d > 1:
+        exponents[-1] = 1.0
+    sig = conditioning ** np.array(exponents)
     t = (q1 * sig) @ q2.T
     t_inv = (q2 / sig) @ q1.T
     with np.errstate(over="ignore", invalid="ignore"):

@@ -63,7 +63,11 @@ def eigenvalues(a) -> Spectrum:
     for bit.
     Raises NonConvergence if LAPACK reports that its QR iteration failed.
     """
-    m = as_matrix(a)
+    return _spectrum(as_matrix(a))
+
+
+def _spectrum(m: np.ndarray) -> Spectrum:
+    """``eigenvalues`` of a matrix ``as_matrix`` has already validated."""
     values = eigenvalues_many(m)
     mag = np.abs(m)
     e = math.frexp(float(mag.max()))[1]
@@ -84,7 +88,7 @@ def eigenvalues_many(mats) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a (d, d) matrix or a (B, d, d) stack, got {ms.shape}")
     try:
-        return np.linalg.eigvals(ms).astype(complex)
+        return np.linalg.eigvals(ms).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         # numpy refuses non-finite input with the same exception
         if not np.isfinite(ms).all():

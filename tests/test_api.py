@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hypflow
+from hypflow import densemat
 
 from conftest import child_env
 
@@ -307,6 +308,53 @@ def test_real_scalars_of_any_type_taken():
     assert hypflow.perturb_campaign(_DIAG, 5, np.int64(1), 0).flips == 0
     assert hypflow.generate(_PLANE, 2, 1).shape == (2, 2)
     assert hypflow.portrait(_DIAG, [[1, 0]], t_range=(0, 1)).startswith("<?xml")
+
+
+@pytest.mark.parametrize("tau", [Fraction(3, 10), np.float32(0.3), 0.3, True],
+                         ids=["fraction", "float32", "float", "bool"])
+def test_inertia_tau_is_the_validated_float(tau):
+    # the tau passed in was kept: a Fraction stayed a Fraction, and from
+    # np.float32 hyperbolize's default cap max(1, 10*tau) was taken in
+    # float32, 3.0000001 where the float gives 3.0000001192092896
+    inr = hypflow.classify(_DIAG, tau).inertia
+    assert type(inr.tau) is float and inr.tau == float(tau)
+    eps = hypflow.hyperbolize(np.zeros((2, 2)), tau).epsilon
+    assert type(eps) is float and eps == max(1.0, 10.0 * float(tau))
+
+
+# Calls that validate their matrix once, and the eigensolves each makes:
+# classify's, then margin's one Hamiltonian level and the campaign's one
+# stacked solve. The first three, given tau, make an openness trial.
+ONE_VALIDATION_CALLS = {
+    "classify": (lambda: hypflow.classify(_DIAG, 1e-9), 1),
+    "margin": (lambda: hypflow.margin(_DIAG, 1e-9), 2),
+    "perturb_campaign": (
+        lambda: hypflow.perturb_campaign(_DIAG, 1, 0.5, 7, 1e-9), 2),
+    "classify_default_tau": (lambda: hypflow.classify(_DIAG), 1),
+    "hyperbolize": (lambda: hypflow.hyperbolize(_DIAG), 1),
+}
+
+
+@pytest.mark.parametrize("name", ONE_VALIDATION_CALLS)
+def test_one_validation_per_call(monkeypatch, name):
+    # classify validated its matrix, then spectral.eigenvalues did again,
+    # and default_tolerance a third time when tau was not given
+    counts = {"entries": 0, "eigvals": 0}
+    entries, eigvals = densemat._entries, np.linalg.eigvals
+
+    def counting_entries(*args, **kwargs):
+        counts["entries"] += 1
+        return entries(*args, **kwargs)
+
+    def counting_eigvals(*args, **kwargs):
+        counts["eigvals"] += 1
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(densemat, "_entries", counting_entries)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    call, eigensolves = ONE_VALIDATION_CALLS[name]
+    call()
+    assert counts == {"entries": 1, "eigvals": eigensolves}
 
 
 def test_import_leaves_random_and_scipy_unloaded():

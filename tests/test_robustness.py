@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -911,6 +912,41 @@ class TestOpennessProperty:
                                                  radius=0.9 * m.lower,
                                                  seed=int(rng.integers(0, 2 ** 31)))
             assert report.flips == 0
+
+    def test_trial_digest_pinned(self):
+        # Every number an openness trial computes, over 200 trials drawn by
+        # _openness_trial's law: the suite's own digest pins only its counts
+        # and worst value, so a moved bit of lower would not show there.
+        rng = np.random.Generator(np.random.PCG64(1))
+        digest = hashlib.sha256()
+
+        def put(*fields):
+            digest.update(repr(fields).encode())
+
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            s = int(rng.integers(0, d + 1))
+            cond = float(rng.uniform(1.0, 100.0))
+            h = robustness.generate(ConjugacyClass(s, d - s, d), cond,
+                                    robustness._subseed(rng))
+            seed = robustness._subseed(rng)
+            tau = inertia.default_tolerance(h)
+            verdict = inertia.classify(h, tau)
+            put(h.tobytes(), verdict.kind, verdict.inertia,
+                verdict.spectrum.residual_bound)
+            for tol in (0.05, 1e-6):
+                mr = robustness.margin(h, tau, tol)
+                put(mr.lower, mr.upper, mr.omega_star, mr.iterations,
+                    mr.solves)
+            if not verdict.is_hyperbolic:
+                continue
+            for samples, radius in ((1, 0.9 * mr.lower), (200, 2 * mr.upper)):
+                report = robustness.perturb_campaign(h, samples, radius, seed,
+                                                     tau)
+                put(report.flips, report.radius,
+                    witness_bytes(report.flip_witnesses))
+        assert digest.hexdigest() == (
+            "497d335ef0d5a5e4b7944dcba754e2d8d8979af0455cd5c2c74ab21b212219f6")
 
 
 class TestRunSuite:
