@@ -35,7 +35,11 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class Inertia:
-    """Counts of eigenvalues with Re < -tau (s), Re > tau (u), |Re| <= tau (c)."""
+    """Counts of eigenvalues with Re < -tau (s), Re > tau (u), |Re| <= tau (c).
+
+    ``tau`` is the validated Python float the counts were made against,
+    whatever real type was passed.
+    """
 
     s: int
     u: int
@@ -102,7 +106,7 @@ def _default_tolerance(m: np.ndarray) -> float:
     return math.ldexp(1e-9 * (math.ldexp(1.0, -e) + scaled), e)
 
 
-def _tolerance(tau) -> float:
+def _valid_tau(tau) -> float:
     """``tau`` as a Python float, refused unless finite and >= 0."""
     tau = densemat._real(tau, "tau")
     if not 0 <= tau < math.inf:
@@ -124,7 +128,7 @@ def _inertia(re: list, tau: float) -> Inertia:
 
 def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
     """Count eigenvalues left of, right of, and inside the axis band."""
-    tau = _tolerance(tau)
+    tau = _valid_tau(tau)
     return _inertia(np.real(np.asarray(spec.values)).tolist(), tau)
 
 
@@ -153,7 +157,7 @@ def classify(a, tau: float | None = None) -> Verdict:
     if not all(map(cmath.isfinite, values)):
         raise ValueError("eigenvalues exceed the float range")
     re = [v.real for v in values]
-    tau = _tolerance(tau)
+    tau = _valid_tau(tau)
     inr = _inertia(re, tau)
     kind, witness = INDETERMINATE, None
     if inr.c > 0:

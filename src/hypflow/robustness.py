@@ -136,9 +136,10 @@ def hyperbolize(a, tau: float | None = None,
     matrix. Raises ShiftTooSmall if the computed eps does not clear the
     tolerance band, and ValueError if A + eps*I passes the float range.
     """
-    if (eps_cap is not None
-            and not 0 < densemat._real(eps_cap, "eps_cap") < math.inf):
-        raise ValueError("eps_cap must be finite and > 0")
+    if eps_cap is not None:
+        eps_cap = densemat._real(eps_cap, "eps_cap")
+        if not 0 < eps_cap < math.inf:
+            raise ValueError("eps_cap must be finite and > 0")
     verdict = classify(a, tau)
     m, tau = verdict.matrix, verdict.inertia.tau
     if eps_cap is None:
@@ -367,7 +368,8 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
     """``perturb_campaign`` around the matrix that ``verdict`` classified."""
     samples = densemat._count(samples, "samples", 1)
-    if not 0 < densemat._real(radius, "radius") < math.inf:
+    radius = densemat._real(radius, "radius")
+    if not 0 < radius < math.inf:
         raise ValueError("radius must be finite and > 0")
     seed = densemat._count(seed, "seed", 0)
     if not verdict.is_hyperbolic:

@@ -310,16 +310,26 @@ def test_real_scalars_of_any_type_taken():
     assert hypflow.portrait(_DIAG, [[1, 0]], t_range=(0, 1)).startswith("<?xml")
 
 
-@pytest.mark.parametrize("tau", [Fraction(3, 10), np.float32(0.3), 0.3, True],
-                         ids=["fraction", "float32", "float", "bool"])
-def test_inertia_tau_is_the_validated_float(tau):
-    # the tau passed in was kept: a Fraction stayed a Fraction, and from
-    # np.float32 hyperbolize's default cap max(1, 10*tau) was taken in
-    # float32, 3.0000001 where the float gives 3.0000001192092896
-    inr = hypflow.classify(_DIAG, tau).inertia
-    assert type(inr.tau) is float and inr.tau == float(tau)
-    eps = hypflow.hyperbolize(np.zeros((2, 2)), tau).epsilon
-    assert type(eps) is float and eps == max(1.0, 10.0 * float(tau))
+@pytest.mark.parametrize("value", [Fraction(3, 10), np.float32(0.3), True],
+                         ids=["fraction", "float32", "bool"])
+def test_scalars_kept_as_validated_floats(value):
+    # the value passed in was kept: Inertia.tau stayed a Fraction, and from
+    # an np.float32 tau hyperbolize's default cap max(1, 10*tau) was taken
+    # in float32, 3.0000001 where the float gives 3.0000001192092896; a
+    # Fraction radius or eps_cap raised a bare TypeError from np.isfinite
+    # on an object array, and an eps_cap of True came back as epsilon
+    x = float(value)
+    inr = hypflow.classify(_DIAG, value).inertia
+    assert type(inr.tau) is float and inr.tau == x
+    results = {
+        "default cap": (hypflow.hyperbolize(np.zeros((2, 2)), value).epsilon,
+                        max(1.0, 10.0 * x)),
+        "eps_cap": (hypflow.hyperbolize(np.zeros((2, 2)),
+                                        eps_cap=value).epsilon, x),
+        "radius": (hypflow.perturb_campaign(_DIAG, 5, value, 0).radius, x),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is float and got == want, name
 
 
 # Calls that validate their matrix once, and the eigensolves each makes:
