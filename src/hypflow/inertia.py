@@ -19,7 +19,6 @@ matrix can be called hyperbolic in a class other than its own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -154,7 +153,8 @@ def classify(a, tau: float | None = None) -> Verdict:
     values = spec.values.tolist()
     # a finite matrix can have eigenvalues past the float maximum (up to
     # d times it); LAPACK returns them as inf, which no report can carry
-    if not all(map(cmath.isfinite, values)):
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+               for v in values):
         raise ValueError("eigenvalues exceed the float range")
     re = [v.real for v in values]
     tau = _valid_tau(tau)
