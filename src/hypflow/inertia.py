@@ -150,18 +150,16 @@ def classify(a, tau: float | None = None) -> Verdict:
     if tau is None:
         tau = _default_tolerance(m)
     spec = spectral._spectrum(m)
-    values = spec.values.tolist()
+    re = spec.values.real.tolist()
     # a finite matrix can have eigenvalues past the float maximum (up to
     # d times it); LAPACK returns them as inf, which no report can carry
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag)
-               for v in values):
+    if not all(map(math.isfinite, re + spec.values.imag.tolist())):
         raise ValueError("eigenvalues exceed the float range")
-    re = [v.real for v in values]
     tau = _valid_tau(tau)
     inr = _inertia(re, tau)
     kind, witness = INDETERMINATE, None
     if inr.c > 0:
-        kind, witness = NON_HYPERBOLIC, _witness(values, tau)
+        kind, witness = NON_HYPERBOLIC, _witness(spec.values.tolist(), tau)
     elif min(map(abs, re)) > tau + spec.residual_bound:
         kind = HYPERBOLIC
     return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
