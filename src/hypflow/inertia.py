@@ -131,8 +131,8 @@ def inertia_of(spec: spectral.Spectrum, tau: float) -> Inertia:
     return _inertia(np.real(np.asarray(spec.values)).tolist(), tau)
 
 
-def _witness(values: list, tau: float) -> complex:
-    on_axis = [v for v in values if abs(v.real) <= tau]
+def _witness(values: np.ndarray, tau: float) -> complex:
+    on_axis = [complex(v) for v in values if abs(v.real) <= tau]
     on_axis.sort(key=lambda v: (abs(v.real), abs(v.imag), v.real, v.imag))
     return on_axis[0]
 
@@ -159,7 +159,7 @@ def classify(a, tau: float | None = None) -> Verdict:
     inr = _inertia(re, tau)
     kind, witness = INDETERMINATE, None
     if inr.c > 0:
-        kind, witness = NON_HYPERBOLIC, _witness(spec.values.tolist(), tau)
+        kind, witness = NON_HYPERBOLIC, _witness(spec.values, tau)
     elif min(map(abs, re)) > tau + spec.residual_bound:
         kind = HYPERBOLIC
     return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
