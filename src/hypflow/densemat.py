@@ -2,9 +2,12 @@
 
 Matrices are plain numpy arrays; ``as_matrix`` validates them once at the API
 boundary so downstream code can assume square shape and real, finite entries.
-The determinant and operator norm are LAPACK calls through ``numpy.linalg``.
-All distances and perturbation sizes in this package are measured in the
-operator 2-norm (largest singular value).
+Every LAPACK call of the package goes through ``_lapack``: it runs one of the
+gufuncs in ``numpy.linalg._umath_linalg`` as the ``numpy.linalg`` routine
+that wraps it would, without that routine's second validation. The
+determinant and operator norm are such calls. All distances and
+perturbation sizes in this package are measured in the operator 2-norm
+(largest singular value).
 """
 
 from __future__ import annotations
@@ -13,14 +16,60 @@ import math
 import numbers
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch
 
 
+# The loop numpy.linalg runs for each gufunc the package calls, by the dtype
+# of the first argument: float64 ("d") or complex128 ("D").
+_LOOPS = {
+    ("eigvals", "d"): "d->D", ("eigvals", "D"): "D->D",
+    ("svd", "D"): "D->d", ("svd_f", "d"): "d->ddd",
+    ("qr_r_raw", "d"): "d->d", ("qr_reduced", "d"): "dd->d",
+    ("det", "d"): "d->d", ("slogdet", "d"): "d->dd",
+    ("solve", "d"): "dd->d", ("inv", "d"): "d->d",
+}
+_QR_FAILED = "Incorrect argument found while performing QR factorization"
+# numpy.linalg's message for each gufunc that reports a LAPACK failure, by
+# a nan output and the invalid flag; det and slogdet report none
+_FAILURES = {
+    "eigvals": "Eigenvalues did not converge",
+    "svd": "SVD did not converge", "svd_f": "SVD did not converge",
+    "qr_r_raw": _QR_FAILED, "qr_reduced": _QR_FAILED,
+    "solve": "Singular matrix", "inv": "Singular matrix",
+}
+
+
+def _lapack(gufunc, *args):
+    """``gufunc(*args)`` for a gufunc of ``numpy.linalg._umath_linalg``, as
+    the numpy.linalg routine that wraps it calls it: on the same loop of
+    float64 or complex128 arrays, so every value keeps its bits, and under
+    the same errstate, which ignores over, divide and under and raises a
+    LAPACK failure as LinAlgError with numpy's message. det and slogdet run
+    under the caller's errstate, as in numpy.linalg. The caller validates
+    the arrays: shape, dtype and finiteness are not checked here.
+    """
+    name = gufunc.__name__
+    signature = _LOOPS[name, args[0].dtype.char]
+    message = _FAILURES.get(name)
+    if message is None:
+        return gufunc(*args, signature=signature)
+
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    with np.errstate(call=fail, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return gufunc(*args, signature=signature)
+
+
 def _entries(a, what: str, dtype=float) -> np.ndarray:
     """``a`` as an array copy of ``dtype`` with finite entries; a float
-    ``dtype`` also refuses complex ones. Strings, None and other non-numbers
-    are refused, in an object array too. The ValueError names ``what``."""
+    ``dtype`` also refuses complex ones, and ``dtype=None`` takes complex
+    for complex entries and float for the others. Strings, None and other
+    non-numbers are refused, in an object array too. The ValueError names
+    ``what``."""
     x = np.asarray(a)
     if x.dtype.kind not in "biufc":
         if x.dtype.kind != "O" or not all(
@@ -29,7 +78,9 @@ def _entries(a, what: str, dtype=float) -> np.ndarray:
         # an object array of numbers takes the dtype its entries infer, so
         # that a complex entry meets the real check below
         x = np.array(x.tolist())
-    if dtype is float and x.dtype.kind == "c":
+    if dtype is None:
+        dtype = complex if x.dtype.kind == "c" else float
+    elif dtype is float and x.dtype.kind == "c":
         raise ValueError(f"{what} entries must be real")
     try:
         x = np.array(x, dtype=dtype)
@@ -96,7 +147,7 @@ def _singular_values(ms) -> np.ndarray:
     LAPACK's values.
     """
     ms = np.asarray(ms, dtype=complex)
-    s = np.linalg.svd(ms, compute_uv=False)
+    s = _lapack(_umath_linalg.svd, ms)
     if np.isnan(s).any():
         rows, mats = s.reshape(-1, s.shape[-1]), ms.reshape(-1, *ms.shape[-2:])
         # a matrix with a non-finite entry keeps LAPACK's nan
@@ -112,9 +163,13 @@ def det(a) -> float:
     """Determinant by LU with partial pivoting (LAPACK getrf); singular
     matrices return 0 up to rounding. Raises ValueError where it passes the
     float range."""
-    m = as_matrix(a)
+    return _det(as_matrix(a))
+
+
+def _det(m: np.ndarray) -> float:
+    """``det`` of a matrix ``as_matrix`` has already validated."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.linalg.det(m))
+        value = float(_lapack(_umath_linalg.det, m))
     if not math.isfinite(value):
         raise ValueError("determinant passes the float range")
     return value

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemat, spectral
+from .densemat import _lapack, _umath_linalg
 from .errors import (DimensionMismatch, FlowOverflow, NonAscendingGrid,
                      NonConvergence, NotHyperbolic, UnsupportedDimension)
 from .inertia import Verdict, classify
@@ -82,6 +83,11 @@ def expm_many(stack) -> np.ndarray:
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
         raise DimensionMismatch(
             f"expected a (B, d, d) stack, got shape {ms.shape}")
+    return _expm_many(ms)
+
+
+def _expm_many(ms: np.ndarray) -> np.ndarray:
+    """``expm_many`` of a validated (B, d, d) float64 stack."""
     d = ms.shape[1]
     # ||M||_2 <= ||M||_F. The computed Frobenius norm is within a relative
     # (d^2 + 2) eps/2 of the true one (d^2 squares, their sum and the root;
@@ -106,7 +112,7 @@ def expm_many(stack) -> np.ndarray:
               + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
-    x = np.linalg.solve(v - u, v + u)
+    x = _lapack(_umath_linalg.solve, v - u, v + u)
     # squarings that overflow leave inf or nan entries, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(int(j.max(initial=0))):
@@ -121,7 +127,7 @@ def expm_many(stack) -> np.ndarray:
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of one matrix: ``expm_many`` on a stack of one."""
-    return expm_many(densemat.as_matrix(a)[None])[0]
+    return _expm_many(densemat.as_matrix(a)[None])[0]
 
 
 def _state(x0, d: int) -> np.ndarray:
@@ -167,14 +173,14 @@ def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         finite = np.isfinite(gens).all(axis=(1, 2))
         gens[~finite] = 0.0  # a stand-in: its first time is refused below
         try:
-            mats = expm_many(gens)
+            mats = _expm_many(gens)
         except FlowOverflow:
             # each matrix alone gets its bits in the stack; nan marks one
             # whose exponential passes the float range
             mats = np.full_like(gens, np.nan)
             for k in range(len(gens)):
                 with contextlib.suppress(FlowOverflow):
-                    mats[k] = expm_many(gens[k:k + 1])[0]
+                    mats[k] = _expm_many(gens[k:k + 1])[0]
         finite &= np.isfinite(mats).all(axis=(1, 2))
         # a bound dot is the cheapest call for one state; a stack needs matmul
         steps = [s.dot if x.ndim == 1 else functools.partial(np.matmul, s)
@@ -233,8 +239,9 @@ def _split(verdict: Verdict) -> SplittingBases:
         for _ in range(_MAX_SIGN_STEPS):
             scaled = last > 1e-2
             try:
-                inv = np.linalg.inv(x)
-                mu = math.exp(-np.linalg.slogdet(x)[1] / d) if scaled else 1.0
+                inv = _lapack(_umath_linalg.inv, x)
+                mu = (math.exp(-_lapack(_umath_linalg.slogdet, x)[1] / d)
+                      if scaled else 1.0)
             except (np.linalg.LinAlgError, OverflowError) as exc:
                 raise NonConvergence(f"singular sign step: {exc}") from None
             new = 0.5 * (mu * x + inv / mu)
@@ -250,7 +257,7 @@ def _split(verdict: Verdict) -> SplittingBases:
         else:
             raise NonConvergence(f"sign unsettled after {_MAX_SIGN_STEPS} steps")
     # left singular vectors of 2*P_s and 2*P_u; the factor 2 moves none
-    u = np.linalg.svd(np.eye(d) + np.stack((-x, x)))[0]
+    u = _lapack(_umath_linalg.svd_f, np.eye(d) + np.stack((-x, x)))[0]
     u *= np.sign(np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None], 1))
     q = np.hstack((u[0][:, :s], u[1][:, :d - s]))
     # H on each basis at once: the eigenvalues of diag(Bs' H Bs, -Bu' H Bu)

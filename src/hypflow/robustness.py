@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import densemat, matching, spectral
+from .densemat import _lapack, _umath_linalg
 from .errors import (DimensionMismatch, InvalidClass, NonConvergence,
                      NotHyperbolic, ShiftTooSmall)
 from .inertia import (ConjugacyClass, Inertia, Verdict, classify,
@@ -487,12 +488,12 @@ def vieta_check(a) -> float:
     Raises ValueError where the product or the determinant passes the
     float range."""
     m = densemat.as_matrix(a)
-    spec = spectral.eigenvalues(m)
+    spec = spectral._spectrum(m)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = complex(np.prod(spec.values))
     if not np.isfinite(prod):
         raise ValueError("eigenvalue product passes the float range")
-    d = densemat.det(m)
+    d = densemat._det(m)
     return float(abs(prod - d) / (1.0 + abs(d)))
 
 
@@ -500,8 +501,9 @@ def _random_orthogonal(rng: np.random.Generator, count: int,
                        d: int) -> np.ndarray:
     """``count`` random orthogonal (d, d) matrices, as a (count, d, d) stack.
 
-    Each is the Q factor of a Householder QR (LAPACK, one stacked call) of
-    a Gaussian draw, with every column multiplied by the sign of R's
+    Each is the Q factor of a Householder QR (LAPACK ``geqrf`` and
+    ``orgqr``, one stacked call each, as in ``numpy.linalg.qr``) of a
+    Gaussian draw, with every column multiplied by the sign of R's
     diagonal entry so that R's diagonal is positive (Mezzadri 2007, *How to
     generate random matrices from the classical compact groups*). That Q is
     the one Gram-Schmidt orthogonalization of the draw gives, and it is Haar
@@ -509,8 +511,11 @@ def _random_orthogonal(rng: np.random.Generator, count: int,
     the sign +1, so Q stays orthogonal. The draw consumes the stream as
     ``count`` successive (d, d) draws would.
     """
-    q, r = np.linalg.qr(rng.standard_normal((count, d, d)))
-    return q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None]
+    a = rng.standard_normal((count, d, d))
+    # qr_r_raw overwrites a: R on and above the diagonal, reflectors below
+    tau = _lapack(_umath_linalg.qr_r_raw, a)
+    q = _lapack(_umath_linalg.qr_reduced, a, tau)
+    return q * np.where(np.diagonal(a, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None]
 
 
 def generate(cls: ConjugacyClass, conditioning: float = 1.0,

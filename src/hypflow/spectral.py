@@ -1,12 +1,13 @@
 """Eigenvalue machinery with two independent routes.
 
 The production route computes all eigenvalues of a matrix with LAPACK
-``geev`` through ``numpy.linalg``. The verification route goes through the
+``geev``, the gufunc behind ``numpy.linalg.eigvals`` called through
+``densemat._lapack``. The verification route goes through the
 characteristic polynomial (Faddeev-LeVerrier recurrence) and a simultaneous
 Aberth-Ehrlich root finder, so each path can serve as the other's oracle.
-Smallest singular values are LAPACK calls through ``numpy.linalg`` as well,
-taken from an SVD of the matrix itself, never from its Gram matrix M^H M,
-which would square the condition number.
+Smallest singular values are LAPACK calls through ``densemat._lapack`` as
+well, taken from an SVD of the matrix itself, never from its Gram matrix
+M^H M, which would square the condition number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _singular_values, as_matrix
+from . import densemat
+from .densemat import _lapack, _singular_values, _umath_linalg, as_matrix
 from .errors import DimensionMismatch, NonConvergence
 
 _EPS = float(np.finfo(float).eps)
@@ -80,19 +82,23 @@ def eigenvalues_many(mats) -> np.ndarray:
     """Eigenvalues of a (d, d) matrix, shape (d,), or of each matrix of a
     (B, d, d) stack, shape (B, d), as complex; one LAPACK ``geev`` call.
 
-    Raises ValueError on a non-finite entry and NonConvergence if LAPACK
-    reports that its QR iteration failed on any matrix of the stack.
+    A float64 or complex128 stack is taken as it is; any other goes
+    through ``densemat._entries``, so an object array of numbers is
+    answered and non-numbers are refused. Raises ValueError on a non-finite
+    entry and NonConvergence if LAPACK reports that its QR iteration failed
+    on any matrix of the stack.
     """
     ms = np.asarray(mats)
     if ms.ndim not in (2, 3) or ms.shape[-1] != ms.shape[-2] or ms.shape[-1] == 0:
         raise DimensionMismatch(
             f"expected a (d, d) matrix or a (B, d, d) stack, got {ms.shape}")
+    if ms.dtype.char not in ("d", "D"):
+        ms = densemat._entries(ms, "matrix", None)
+    elif not np.isfinite(ms).all():
+        raise ValueError("matrix entries must be finite")
     try:
-        return np.linalg.eigvals(ms).astype(complex, copy=False)
+        return _lapack(_umath_linalg.eigvals, ms)
     except np.linalg.LinAlgError as exc:
-        # numpy refuses non-finite input with the same exception
-        if not np.isfinite(ms).all():
-            raise ValueError("matrix entries must be finite") from None
         raise NonConvergence(f"LAPACK eigenvalue iteration failed: {exc}") from exc
 
 

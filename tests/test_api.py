@@ -1,6 +1,7 @@
 import ast
 import cmath
 import dataclasses
+import functools
 import math
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import hypflow
 from hypflow import densemat
 
-from conftest import child_env
+from conftest import FLOAT_RANGE_EDGES, child_env
 
 # The public surface. Adding or deleting a name is meant to show up here.
 PUBLIC = [
@@ -104,16 +105,6 @@ FLOAT_RANGE_CALLS = dict(REAL_MATRIX_CALLS, **{
     "char_poly": hypflow.char_poly,
     "vieta_check": hypflow.vieta_check,
 })
-
-FLOAT_RANGE_EDGES = {
-    "exp_overflow": [[800.0]],
-    "det_overflow": [[1e200, 0.0], [0.0, 1e200]],
-    "near_max": [[1e308, 1e308], [0.0, 1e308]],
-    "fast_rotation": [[0.0, 1e200], [-1e200, 0.0]],
-    "subnormal": [[5e-324, 0.0], [0.0, -5e-324]],
-    "zero": [[0.0, 0.0], [0.0, 0.0]],
-}
-
 
 def _numbers(value):
     """Every float and complex that ``value`` holds, through records,
@@ -334,37 +325,46 @@ def test_scalars_kept_as_validated_floats(value):
 
 # Calls that validate their matrix once, and the eigensolves each makes:
 # classify's, then margin's one Hamiltonian level and the campaign's one
-# stacked solve. The first three, given tau, make an openness trial.
+# stacked solve. The first three, given tau, make an openness trial. The
+# flows validate their start point and time grid besides.
 ONE_VALIDATION_CALLS = {
-    "classify": (lambda: hypflow.classify(_DIAG, 1e-9), 1),
-    "margin": (lambda: hypflow.margin(_DIAG, 1e-9), 2),
+    "classify": (lambda: hypflow.classify(_DIAG, 1e-9), 1, 1),
+    "margin": (lambda: hypflow.margin(_DIAG, 1e-9), 1, 2),
     "perturb_campaign": (
-        lambda: hypflow.perturb_campaign(_DIAG, 1, 0.5, 7, 1e-9), 2),
-    "classify_default_tau": (lambda: hypflow.classify(_DIAG), 1),
-    "hyperbolize": (lambda: hypflow.hyperbolize(_DIAG), 1),
+        lambda: hypflow.perturb_campaign(_DIAG, 1, 0.5, 7, 1e-9), 1, 2),
+    "classify_default_tau": (lambda: hypflow.classify(_DIAG), 1, 1),
+    "hyperbolize": (lambda: hypflow.hyperbolize(_DIAG), 1, 1),
+    "expm": (lambda: hypflow.expm(_DIAG), 1, 0),
+    "trajectory": (lambda: hypflow.trajectory(_DIAG, [1, 1], [0, 1]), 3, 0),
+    "flow_map": (lambda: hypflow.flow_map(_DIAG, 1.0, [1, 1]), 3, 0),
+    "portrait": (lambda: hypflow.portrait(_DIAG, [[1, 1]], steps=4), 3, 2),
+    "vieta_check": (lambda: hypflow.vieta_check(_DIAG), 1, 1),
 }
 
 
 @pytest.mark.parametrize("name", ONE_VALIDATION_CALLS)
 def test_one_validation_per_call(monkeypatch, name):
     # classify validated its matrix, then spectral.eigenvalues did again,
-    # and default_tolerance a third time when tau was not given
+    # and default_tolerance a third time when tau was not given; expm_many
+    # validated again the matrices expm, trajectory, flow_map and portrait
+    # built, and vieta_check validated in eigenvalues and det as well
     counts = {"entries": 0, "eigvals": 0}
-    entries, eigvals = densemat._entries, np.linalg.eigvals
+    entries, eigvals = densemat._entries, densemat._umath_linalg.eigvals
 
     def counting_entries(*args, **kwargs):
         counts["entries"] += 1
         return entries(*args, **kwargs)
 
+    @functools.wraps(eigvals)
     def counting_eigvals(*args, **kwargs):
         counts["eigvals"] += 1
         return eigvals(*args, **kwargs)
 
     monkeypatch.setattr(densemat, "_entries", counting_entries)
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    call, eigensolves = ONE_VALIDATION_CALLS[name]
+    monkeypatch.setattr(densemat._umath_linalg, "eigvals", counting_eigvals)
+    call, validations, eigensolves = ONE_VALIDATION_CALLS[name]
     call()
-    assert counts == {"entries": 1, "eigvals": eigensolves}
+    assert counts == {"entries": validations, "eigvals": eigensolves}
 
 
 def test_import_leaves_random_and_scipy_unloaded():
@@ -380,76 +380,118 @@ def test_import_leaves_random_and_scipy_unloaded():
     assert proc.stdout == "[]\n"
 
 
-# One implementation per kernel: each numpy.linalg routine the package calls,
-# with the functions that call it. A new call site has to change this table.
+# One implementation per kernel: the package calls LAPACK through the
+# gufuncs of numpy.linalg._umath_linalg, never through numpy.linalg's
+# routines. Each numpy.linalg routine those gufuncs serve lists the sites
+# of its gufuncs, with the functions that make them. A new call site has to
+# change this table.
 LINALG_SITES = {
-    "eigvals": [("spectral", ("eigenvalues_many",))],
-    "svd": [("densemat", ("_singular_values",)), ("flow", ("_split",))],
-    "det": [("densemat", ("det",))],
-    "solve": [("flow", ("expm_many",))],
-    "inv": [("flow", ("_split",))],
-    "slogdet": [("flow", ("_split",))],
-    "qr": [("robustness", ("_random_orthogonal",))],
+    "eigvals": [("_umath_linalg.eigvals", "spectral", ("eigenvalues_many",))],
+    "svd": [("_umath_linalg.svd", "densemat", ("_singular_values",)),
+            ("_umath_linalg.svd_f", "flow", ("_split",))],
+    "det": [("_umath_linalg.det", "densemat", ("_det",))],
+    "solve": [("_umath_linalg.solve", "flow", ("_expm_many",))],
+    "inv": [("_umath_linalg.inv", "flow", ("_split",))],
+    "slogdet": [("_umath_linalg.slogdet", "flow", ("_split",))],
+    "qr": [("_umath_linalg.qr_r_raw", "robustness", ("_random_orthogonal",)),
+           ("_umath_linalg.qr_reduced", "robustness",
+            ("_random_orthogonal",))],
 }
+# The core signature of each gufunc the package calls, spaces dropped.
+GUFUNC_SIGNATURES = {
+    "eigvals": "(m,m)->(m)",
+    "svd": "(m,n)->(p)",
+    "svd_f": "(m,n)->(m,m),(p),(n,n)",
+    "det": "(m,m)->()",
+    "solve": "(m,m),(m,n)->(m,n)",
+    "inv": "(m,m)->(m,m)",
+    "slogdet": "(m,m)->(),()",
+    "qr_r_raw": "(m,n)->(p)",
+    "qr_reduced": "(m,n),(k)->(m,k)",
+}
+# numpy.linalg and its module of LAPACK gufuncs
+_LINALG_MODULES = ("linalg", "_umath_linalg")
 
 
-def _is_linalg(node, aliases) -> bool:
-    """Whether ``node`` is ``<...>.linalg`` or a name in ``aliases``."""
-    return ((isinstance(node, ast.Attribute) and node.attr == "linalg")
-            or (isinstance(node, ast.Name) and node.id in aliases))
+def _module_of(node, aliases):
+    """Which of ``_LINALG_MODULES`` ``node`` names, by its attribute name
+    or as a name in ``aliases``; None for any other node."""
+    if isinstance(node, ast.Attribute) and node.attr in _LINALG_MODULES:
+        return node.attr
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    return None
 
 
-def _linalg_aliases(tree) -> set:
-    """The names bound to numpy.linalg in ``tree``, by an import or by
-    assigning it (or an alias of it) to a name."""
-    aliases = {"linalg"}
+def _linalg_aliases(tree) -> dict:
+    """The names bound to numpy.linalg or to its _umath_linalg in ``tree``,
+    by an import or by assigning the module (or an alias of it) to a name,
+    each with the module it is bound to."""
+    aliases = {name: name for name in _LINALG_MODULES}
     while True:
-        known = set(aliases)
+        known = dict(aliases)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                aliases |= {a.asname for a in node.names
-                            if a.name == "numpy.linalg" and a.asname}
+                aliases |= {a.asname: a.name.rsplit(".", 1)[1]
+                            for a in node.names if a.asname and a.name in (
+                                "numpy.linalg", "numpy.linalg._umath_linalg")}
             elif isinstance(node, ast.ImportFrom):
-                aliases |= {a.asname or a.name for a in node.names
-                            if a.name == "linalg"}
-            elif isinstance(node, ast.Assign) and _is_linalg(node.value,
-                                                             aliases):
-                aliases |= {t.id for t in node.targets
-                            if isinstance(t, ast.Name)}
+                aliases |= {a.asname or a.name: a.name for a in node.names
+                            if a.name in _LINALG_MODULES}
+            elif isinstance(node, ast.Assign):
+                module = _module_of(node.value, aliases)
+                if module:
+                    aliases |= {t.id: module for t in node.targets
+                                if isinstance(t, ast.Name)}
         if aliases == known:
             return aliases
 
 
 def _linalg_names(tree, aliases, where=()):
-    """(routine, enclosing function names) of each numpy.linalg routine
-    named in ``tree``: as an attribute of linalg or of a name in
-    ``aliases``, imported from linalg, or fetched from it with getattr (a
-    name that is not a literal string counts as the routine "?")."""
+    """("<module>.<routine>", enclosing function names) of each routine of
+    numpy.linalg or of its _umath_linalg named in ``tree``: as an attribute
+    of the module or of a name in ``aliases``, imported from it, or fetched
+    from it with getattr (a name that is not a literal string counts as the
+    routine "?")."""
     for node in ast.iter_child_nodes(tree):
         inner = where
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = where + (node.name,)
-        if (isinstance(node, ast.Attribute) and node.attr[:1].islower()
-                and _is_linalg(node.value, aliases)):
-            yield node.attr, where
-        if (isinstance(node, ast.ImportFrom)
-                and (node.module or "").endswith("linalg")):
-            for alias in node.names:
-                yield alias.name, where
+        if isinstance(node, ast.Attribute) and node.attr[:1].islower():
+            module = _module_of(node.value, aliases)
+            if module:
+                yield f"{module}.{node.attr}", where
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            if module in _LINALG_MODULES:
+                for alias in node.names:
+                    if alias.name[:1].islower():
+                        yield f"{module}.{alias.name}", where
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr" and len(node.args) > 1
-                and _is_linalg(node.args[0], aliases)):
-            name = node.args[1]
-            yield (name.value if isinstance(name, ast.Constant) else "?"), where
+                and node.func.id == "getattr" and len(node.args) > 1):
+            module = _module_of(node.args[0], aliases)
+            if module:
+                name = node.args[1]
+                yield (f"{module}." + (name.value if isinstance(
+                    name, ast.Constant) else "?")), where
         yield from _linalg_names(node, aliases, inner)
+
+
+def _routine(name: str) -> str:
+    """The numpy.linalg routine of a "<module>.<name>" site: the name
+    itself in numpy.linalg, and the part before the first underscore of a
+    gufunc (qr_r_raw serves qr, svd_f serves svd)."""
+    module, routine = name.split(".")
+    return routine.split("_")[0] if module == "_umath_linalg" else routine
 
 
 def _linalg_sites() -> dict:
     sites = {}
     for path in sorted(Path(hypflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for routine, where in _linalg_names(tree, _linalg_aliases(tree)):
-            sites.setdefault(routine, []).append((path.stem, where))
+        for name, where in _linalg_names(tree, _linalg_aliases(tree)):
+            sites.setdefault(_routine(name), []).append(
+                (name, path.stem, where))
     return sites
 
 
@@ -472,14 +514,47 @@ def test_linalg_site_found_under_any_name(source):
     # linalg, so an alias of the module or getattr added a site unseen
     tree = ast.parse(source)
     assert list(_linalg_names(tree, _linalg_aliases(tree))) == [
-        ("eigvals", ("f",))]
+        ("linalg.eigvals", ("f",))]
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\ndef f(m):\n"
+    "    return np.linalg._umath_linalg.eigvals(m)",
+    "from numpy.linalg import _umath_linalg\ndef f(m):\n"
+    "    return _umath_linalg.eigvals(m)",
+    "from .densemat import _umath_linalg as lapack\ndef f(m):\n"
+    "    return lapack.eigvals(m)",
+    "import numpy.linalg._umath_linalg as ul\nu = ul\ndef f(m):\n"
+    "    return getattr(u, 'eigvals')(m)",
+    "def f(m):\n    from numpy.linalg._umath_linalg import eigvals\n"
+    "    return eigvals(m)",
+])
+def test_gufunc_site_found_under_any_name(source):
+    tree = ast.parse(source)
+    assert list(_linalg_names(tree, _linalg_aliases(tree))) == [
+        ("_umath_linalg.eigvals", ("f",))]
 
 
 @pytest.mark.parametrize("routine", LINALG_SITES)
 def test_one_site_per_linalg_routine(routine):
     # every eigenvalue computation in the package goes through
-    # spectral.eigenvalues_many, and each other routine has its own sites
+    # spectral.eigenvalues_many, and each other routine has its own sites;
+    # a numpy.linalg call beside its gufunc would be one more site
     assert _linalg_sites().get(routine) == LINALG_SITES[routine]
+
+
+def test_gufuncs_have_the_signatures_relied_on():
+    # a numpy that renames a gufunc, changes its core signature or drops a
+    # loop the package runs fails here, not deep in a request
+    sites = [name.split(".")[1] for routine in LINALG_SITES.values()
+             for name, _, _ in routine]
+    assert sorted(sites) == sorted(GUFUNC_SIGNATURES)
+    assert sorted({name for name, _ in densemat._LOOPS}) == sorted(sites)
+    for name, signature in GUFUNC_SIGNATURES.items():
+        gufunc = getattr(densemat._umath_linalg, name)
+        assert gufunc.signature.replace(" ", "") == signature, name
+    for (name, _), loop in densemat._LOOPS.items():
+        assert loop in getattr(densemat._umath_linalg, name).types, name
 
 
 # One site that writes files: each call in the package that opens a file,

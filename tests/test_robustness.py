@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import subprocess
@@ -12,7 +13,7 @@ from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
                             NotHyperbolic, ShiftTooSmall)
 from hypflow.inertia import ConjugacyClass
 
-from conftest import child_env
+from conftest import child_env, fail_like_lapack
 from oracles import (bottleneck_pairings, byers_distance, campaign_recount,
                      grid_distance_oracle, gram_schmidt_orthogonal,
                      refined_grid_distance, svd_sigma_min)
@@ -558,14 +559,7 @@ class TestStackedCampaign:
         assert (report.flips, report.flip_witnesses) == (0, [])
 
     def test_stacked_lapack_failure_is_nonconvergence(self, monkeypatch):
-        eigvals = np.linalg.eigvals
-
-        def fail_on_stacks(a):
-            if np.shape(a)[0] > 1:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail_on_stacks)
+        fail_like_lapack(monkeypatch, "eigvals", lambda a: np.ndim(a) == 3)
         with pytest.raises(NonConvergence):
             robustness.perturb_campaign(np.diag([-1.0, 2.0]), 5, 0.1, seed=1)
 
@@ -881,13 +875,14 @@ class TestGenerate:
     def test_one_stacked_qr(self, monkeypatch):
         # one LAPACK call for both orthogonal factors, no per-column loop
         shapes = []
-        qr = np.linalg.qr
+        qr = densemat._umath_linalg.qr_r_raw
 
+        @functools.wraps(qr)
         def counting_qr(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(densemat._umath_linalg, "qr_r_raw", counting_qr)
         robustness.generate(ConjugacyClass(3, 2, 5), 10.0, seed=4)
         assert shapes == [(2, 5, 5)]
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypflow import densemat, matching, spectral
 from hypflow.errors import DimensionMismatch, NonConvergence
 
+from conftest import fail_like_lapack
 from oracles import quadratic_roots
 
 
@@ -82,10 +83,8 @@ class TestEigenvalues:
         assert huge.residual_bound == 2.0 * (10.0 * 2 * np.finfo(float).eps * 1e308)
 
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
-        with pytest.raises(NonConvergence):
+        fail_like_lapack(monkeypatch, "eigvals")
+        with pytest.raises(NonConvergence, match="failed: Eigenvalues did not"):
             spectral.eigenvalues(np.eye(2))
 
     def test_stack_validated(self):
@@ -96,6 +95,19 @@ class TestEigenvalues:
         stack = np.stack([np.eye(2), np.diag([np.inf, 1.0])])
         with pytest.raises(ValueError, match="finite"):
             spectral.eigenvalues_many(stack)
+
+    def test_object_stack_answered_and_non_numbers_refused(self):
+        # an object array raised a bare TypeError from isfinite, and so did
+        # a string array
+        for entries, dtype in (([[1, 2], [3, 4]], float),
+                               ([[1j, 2], [3, 4]], complex)):
+            got = spectral.eigenvalues_many(np.array(entries, dtype=object))
+            want = spectral.eigenvalues_many(np.array(entries, dtype=dtype))
+            assert got.tobytes() == want.tobytes()
+        for bad in (np.array([["1", "2"], ["3", "4"]]),
+                    np.array([[1, None], [3, 4]], dtype=object)):
+            with pytest.raises(ValueError, match="entries must be numbers"):
+                spectral.eigenvalues_many(bad)
 
     def test_shift_covariance(self, rng):
         for _ in range(20):
