@@ -4,7 +4,6 @@ subspaces, and 2-D phase portraits as SVG documents.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -83,11 +82,20 @@ def expm_many(stack) -> np.ndarray:
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] == 0:
         raise DimensionMismatch(
             f"expected a (B, d, d) stack, got shape {ms.shape}")
-    return _expm_many(ms)
+    return _finite(_expm_many(ms))
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """The exponentials ``x``, refused where one passes the float range."""
+    bad = ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        raise FlowOverflow(f"the exponential of stack matrix "
+                           f"{np.argmax(bad)} passes the float range")
+    return x
 
 
 def _expm_many(ms: np.ndarray) -> np.ndarray:
-    """``expm_many`` of a validated (B, d, d) float64 stack."""
+    """``expm_many`` of a validated stack; an overflow stays inf or nan."""
     d = ms.shape[1]
     # ||M||_2 <= ||M||_F. The computed Frobenius norm is within a relative
     # (d^2 + 2) eps/2 of the true one (d^2 squares, their sum and the root;
@@ -113,21 +121,16 @@ def _expm_many(ms: np.ndarray) -> np.ndarray:
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye)
     x = _lapack(_umath_linalg.solve, v - u, v + u)
-    # squarings that overflow leave inf or nan entries, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(int(j.max(initial=0))):
             more = j > k
             x[more] = x[more] @ x[more]
-    finite = np.isfinite(x).all(axis=(1, 2))
-    if not finite.all():
-        raise FlowOverflow(f"the exponential of stack matrix "
-                           f"{np.argmin(finite)} passes the float range")
     return x
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of one matrix: ``expm_many`` on a stack of one."""
-    return _expm_many(densemat.as_matrix(a)[None])[0]
+    return _finite(_expm_many(densemat.as_matrix(a)[None]))[0]
 
 
 def _state(x0, d: int) -> np.ndarray:
@@ -152,9 +155,9 @@ def _grid(t_grid) -> np.ndarray:
 
 def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``trajectory``'s states e^{tH} x on a validated grid, for one state x
-    of shape (d,) or a (k, d, 1) stack of them: a stacked matrix-vector
-    product runs the same BLAS kernel on each vector, so each start point
-    of a stack moves exactly as it would alone."""
+    of shape (d,) or a (k, d, 1) stack of them, from one ``_expm_many``
+    call: a stacked matrix-vector product runs the same BLAS kernel on each
+    vector, so each start point of a stack moves exactly as it would alone."""
     reuse_tol = 4.0 * _EPS * float(np.max(np.abs(times)))
     lead = int(times[0] != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,15 +175,7 @@ def _advance(m: np.ndarray, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         gens = np.array([times[0]] * lead + dts)[:, None, None] * m
         finite = np.isfinite(gens).all(axis=(1, 2))
         gens[~finite] = 0.0  # a stand-in: its first time is refused below
-        try:
-            mats = _expm_many(gens)
-        except FlowOverflow:
-            # each matrix alone gets its bits in the stack; nan marks one
-            # whose exponential passes the float range
-            mats = np.full_like(gens, np.nan)
-            for k in range(len(gens)):
-                with contextlib.suppress(FlowOverflow):
-                    mats[k] = _expm_many(gens[k:k + 1])[0]
+        mats = _expm_many(gens)
         finite &= np.isfinite(mats).all(axis=(1, 2))
         # a bound dot is the cheapest call for one state; a stack needs matmul
         steps = [s.dot if x.ndim == 1 else functools.partial(np.matmul, s)
@@ -233,13 +228,15 @@ def _split(verdict: Verdict) -> SplittingBases:
     d, s = m.shape[0], inr.s
     e = math.frexp(float(np.max(np.abs(m))))[1]
     x = a = np.ldexp(m, -e)
+    eye = np.eye(d)
     last = math.inf
     # an overflowing or undefined step shows as a non-finite norm below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_SIGN_STEPS):
             scaled = last > 1e-2
             try:
-                inv = _lapack(_umath_linalg.inv, x)
+                # numpy's inv gufunc is this gesv against I, bit for bit
+                inv = _lapack(_umath_linalg.solve, x, eye)
                 mu = (math.exp(-_lapack(_umath_linalg.slogdet, x)[1] / d)
                       if scaled else 1.0)
             except (np.linalg.LinAlgError, OverflowError) as exc:
@@ -257,14 +254,14 @@ def _split(verdict: Verdict) -> SplittingBases:
         else:
             raise NonConvergence(f"sign unsettled after {_MAX_SIGN_STEPS} steps")
     # left singular vectors of 2*P_s and 2*P_u; the factor 2 moves none
-    u = _lapack(_umath_linalg.svd_f, np.eye(d) + np.stack((-x, x)))[0]
+    u = _lapack(_umath_linalg.svd_f, eye + np.stack((-x, x)))[0]
     u *= np.sign(np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None], 1))
     q = np.hstack((u[0][:, :s], u[1][:, :d - s]))
     # H on each basis at once: the eigenvalues of diag(Bs' H Bs, -Bu' H Bu)
     r = q.T @ a @ q
     r[:s, s:] = r[s:, :s] = 0.0
     r[s:, s:] *= -1.0
-    if spectral.eigenvalues_many(r).real.max() >= -math.ldexp(inr.tau, -e):
+    if spectral._eigenvalues_many(r).real.max() >= -math.ldexp(inr.tau, -e):
         raise NonConvergence("sign iteration settled on a wrong split")
     return SplittingBases(stable=q[:, :s], unstable=q[:, s:])
 

@@ -236,7 +236,8 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
         if not cross:
             return MarginResult(lower=level, upper=gamma, omega_star=omega_star,
                                 iterations=evals, solves=solves)
-        mids = [(lo + hi) / 2 for (lo, _), (hi, _) in zip(cross, cross[1:])]
+        # halved first: lo + hi of two crossings near the float maximum is inf
+        mids = [lo / 2 + hi / 2 for (lo, _), (hi, _) in zip(cross, cross[1:])]
         if mids:
             cross += zip(mids, _sigma_min_shifted(m, mids))
             evals += len(mids)
@@ -276,7 +277,7 @@ def _crossings(m: np.ndarray, level: float, norm: float, accept: float):
     flat[d:2 * d * d:2 * d + 1] = -level
     flat[2 * d * d::2 * d + 1] = level
     axis = math.sqrt(2 * d * _EPS) * (norm + level)
-    near = [abs(v.imag) for v in spectral.eigenvalues_many(ham).tolist()
+    near = [abs(v.imag) for v in spectral._eigenvalues_many(ham).tolist()
             if abs(v.real) <= axis]
     if not near:
         return [], 0
@@ -408,7 +409,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             level = np.full((len(block), 1), tau)
             level[over] = math.ldexp(tau, -x)
             e[over] = np.ldexp(scaled, x)
-        re = spectral.eigenvalues_many(perturbed).real
+        re = spectral._eigenvalues_many(perturbed).real
         flipped = (((re < -level).sum(axis=1) != base.s)
                    | ((re > level).sum(axis=1) != base.u)).tolist()
         hits = [j for j, f in enumerate(flipped) if f]
@@ -463,7 +464,7 @@ def continuity_check(h, sequence) -> ContinuityReport:
     # values, silently
     if not np.all(np.isfinite(diffs)):
         raise ValueError("matrix entries must be finite")
-    eigs = spectral.eigenvalues_many(np.concatenate((stack, m[None])))
+    eigs = spectral._eigenvalues_many(np.concatenate((stack, m[None])))
     # as in classify: LAPACK returns eigenvalues past the float maximum as
     # inf, and the distance between two of them is NaN
     if not np.isfinite(eigs).all():

@@ -1,7 +1,7 @@
 """Eigenvalue machinery with two independent routes.
 
-The production route computes all eigenvalues of a matrix with LAPACK
-``geev``, the gufunc behind ``numpy.linalg.eigvals`` called through
+The production route computes all eigenvalues of a matrix, or of each
+matrix of a validated stack, with LAPACK ``geev`` through
 ``densemat._lapack``. The verification route goes through the
 characteristic polynomial (Faddeev-LeVerrier recurrence) and a simultaneous
 Aberth-Ehrlich root finder, so each path can serve as the other's oracle.
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densemat
 from .densemat import _lapack, _singular_values, _umath_linalg, as_matrix
-from .errors import DimensionMismatch, NonConvergence
+from .errors import NonConvergence
 
 _EPS = float(np.finfo(float).eps)
 
@@ -55,7 +54,7 @@ class CharPoly:
 def eigenvalues(a) -> Spectrum:
     """All eigenvalues of a square matrix, counting algebraic multiplicity.
 
-    LAPACK ``geev`` through ``eigenvalues_many``: balancing, Hessenberg
+    LAPACK ``geev`` through ``_eigenvalues_many``: balancing, Hessenberg
     reduction and shifted QR, with scaling against overflow. The residual
     bound is the backward-error estimate 10*d*eps*||A||_1. The 1-norm is
     summed over |A| scaled by an exact power of two to entries below 1, and
@@ -70,7 +69,7 @@ def eigenvalues(a) -> Spectrum:
 
 def _spectrum(m: np.ndarray) -> Spectrum:
     """``eigenvalues`` of a matrix ``as_matrix`` has already validated."""
-    values = eigenvalues_many(m)
+    values = _eigenvalues_many(m)
     mag = np.abs(m)
     e = math.frexp(float(mag.max()))[1]
     norm1 = float(np.ldexp(mag, -e).sum(axis=0).max())
@@ -78,24 +77,11 @@ def _spectrum(m: np.ndarray) -> Spectrum:
     return Spectrum(values=values, residual_bound=residual)
 
 
-def eigenvalues_many(mats) -> np.ndarray:
-    """Eigenvalues of a (d, d) matrix, shape (d,), or of each matrix of a
-    (B, d, d) stack, shape (B, d), as complex; one LAPACK ``geev`` call.
-
-    A float64 or complex128 stack is taken as it is; any other goes
-    through ``densemat._entries``, so an object array of numbers is
-    answered and non-numbers are refused. Raises ValueError on a non-finite
-    entry and NonConvergence if LAPACK reports that its QR iteration failed
-    on any matrix of the stack.
-    """
-    ms = np.asarray(mats)
-    if ms.ndim not in (2, 3) or ms.shape[-1] != ms.shape[-2] or ms.shape[-1] == 0:
-        raise DimensionMismatch(
-            f"expected a (d, d) matrix or a (B, d, d) stack, got {ms.shape}")
-    if ms.dtype.char not in ("d", "D"):
-        ms = densemat._entries(ms, "matrix", None)
-    elif not np.isfinite(ms).all():
-        raise ValueError("matrix entries must be finite")
+def _eigenvalues_many(ms: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a finite float64 (d, d) matrix, shape (d,), or of each
+    matrix of a (B, d, d) stack, shape (B, d), as complex; one LAPACK
+    ``geev`` call. Raises NonConvergence if LAPACK reports that its QR
+    iteration failed on any matrix of the stack."""
     try:
         return _lapack(_umath_linalg.eigvals, ms)
     except np.linalg.LinAlgError as exc:
@@ -149,7 +135,9 @@ def poly_roots(p) -> Spectrum:
     Starts from perturbed-circle initial guesses inside a Cauchy bound and
     sweeps all roots at once; a root stops moving when its correction falls
     below 1e-12*(1+|root|) or its residual is at the round-off floor of the
-    Horner evaluation (which is how multiple roots terminate).
+    Horner evaluation (which is how multiple roots terminate). Where R**d
+    of the start radius R passes the float range, the iteration runs on the
+    roots scaled by a power of two to modulus at most 2.
     """
     coeffs = p.coeffs if isinstance(p, CharPoly) else np.asarray(p)
     coeffs = np.atleast_1d(np.array(coeffs, dtype=complex))
@@ -163,12 +151,19 @@ def poly_roots(p) -> Spectrum:
         root = -a[0]
         return Spectrum(values=np.array([root]),
                         residual_bound=4.0 * _EPS * (1.0 + abs(root)))
-    deriv = a[1:] * np.arange(1, d + 1)
     center = -a[d - 1] / d
-    radius = 1.0 + float(np.max(np.abs(a[:-1]))) + abs(center)
+    radius = 1.0 + float(np.max(np.abs(a[:-1]))) + float(abs(center))
+    if d * math.log2(radius) >= 1024:
+        # Horner would overflow near |z| = radius: z = 2**k w for the roots
+        # w of the polynomial of coefficients a_j 2**(k (j - d)), all <= 1
+        k = math.ceil(max(math.log2(abs(c)) / (d - j)
+                          for j, c in enumerate(a[:-1].tolist()) if c))
+        w = poly_roots(a * 2.0 ** (k * (np.arange(d + 1) - d)))
+        return Spectrum(values=np.ldexp(w.values.view(float), k).view(complex),
+                        residual_bound=float(np.ldexp(w.residual_bound, k)))
+    deriv = a[1:] * np.arange(1, d + 1)
     angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4
     z = center + radius * np.exp(1j * angles)
-    z = z.astype(complex)
     converged = np.zeros(d, dtype=bool)
     for _ in range(1000):
         moved = False

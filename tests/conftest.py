@@ -30,6 +30,8 @@ FLOAT_RANGE_EDGES = {
     "fast_rotation": [[0.0, 1e200], [-1e200, 0.0]],
     "subnormal": [[5e-324, 0.0], [0.0, -5e-324]],
     "zero": [[0.0, 0.0], [0.0, 0.0]],
+    # the determinant -5e-484 rounds to -0.0 from a subnormal pivot
+    "subnormal_pivot": [[0.0, 1e-160], [5e-324, 1e-160]],
 }
 
 

@@ -386,12 +386,12 @@ def test_import_leaves_random_and_scipy_unloaded():
 # of its gufuncs, with the functions that make them. A new call site has to
 # change this table.
 LINALG_SITES = {
-    "eigvals": [("_umath_linalg.eigvals", "spectral", ("eigenvalues_many",))],
+    "eigvals": [("_umath_linalg.eigvals", "spectral", ("_eigenvalues_many",))],
     "svd": [("_umath_linalg.svd", "densemat", ("_singular_values",)),
             ("_umath_linalg.svd_f", "flow", ("_split",))],
     "det": [("_umath_linalg.det", "densemat", ("_det",))],
-    "solve": [("_umath_linalg.solve", "flow", ("_expm_many",))],
-    "inv": [("_umath_linalg.inv", "flow", ("_split",))],
+    "solve": [("_umath_linalg.solve", "flow", ("_expm_many",)),
+              ("_umath_linalg.solve", "flow", ("_split",))],
     "slogdet": [("_umath_linalg.slogdet", "flow", ("_split",))],
     "qr": [("_umath_linalg.qr_r_raw", "robustness", ("_random_orthogonal",)),
            ("_umath_linalg.qr_reduced", "robustness",
@@ -404,7 +404,6 @@ GUFUNC_SIGNATURES = {
     "svd_f": "(m,n)->(m,m),(p),(n,n)",
     "det": "(m,m)->()",
     "solve": "(m,m),(m,n)->(m,n)",
-    "inv": "(m,m)->(m,m)",
     "slogdet": "(m,m)->(),()",
     "qr_r_raw": "(m,n)->(p)",
     "qr_reduced": "(m,n),(k)->(m,k)",
@@ -538,7 +537,7 @@ def test_gufunc_site_found_under_any_name(source):
 @pytest.mark.parametrize("routine", LINALG_SITES)
 def test_one_site_per_linalg_routine(routine):
     # every eigenvalue computation in the package goes through
-    # spectral.eigenvalues_many, and each other routine has its own sites;
+    # spectral._eigenvalues_many, and each other routine has its own sites;
     # a numpy.linalg call beside its gufunc would be one more site
     assert _linalg_sites().get(routine) == LINALG_SITES[routine]
 
@@ -546,14 +545,14 @@ def test_one_site_per_linalg_routine(routine):
 def test_gufuncs_have_the_signatures_relied_on():
     # a numpy that renames a gufunc, changes its core signature or drops a
     # loop the package runs fails here, not deep in a request
-    sites = [name.split(".")[1] for routine in LINALG_SITES.values()
-             for name, _, _ in routine]
+    sites = {name.split(".")[1] for routine in LINALG_SITES.values()
+             for name, _, _ in routine}
     assert sorted(sites) == sorted(GUFUNC_SIGNATURES)
-    assert sorted({name for name, _ in densemat._LOOPS}) == sorted(sites)
+    assert sorted(densemat._LOOPS) == sorted(sites)
     for name, signature in GUFUNC_SIGNATURES.items():
         gufunc = getattr(densemat._umath_linalg, name)
         assert gufunc.signature.replace(" ", "") == signature, name
-    for (name, _), loop in densemat._LOOPS.items():
+    for name, loop in densemat._LOOPS.items():
         assert loop in getattr(densemat._umath_linalg, name).types, name
 
 

@@ -298,6 +298,17 @@ class TestTrajectory:
         assert isinstance(exc.value, errors.FlowOverflow)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_step_keeps_one_stacked_call(self, monkeypatch):
+        # e^{H} is finite and e^{1000 H} is not: the stack of both comes
+        # back with the second one's inf entries, where a raise from the
+        # stack made one more call for each matrix
+        sizes = self.count_stacked(monkeypatch)
+        with pytest.raises(errors.FlowOverflow, match=r"at t = 1002\.0$"):
+            flow.trajectory(np.diag([1.0, -1.0]), [1.0, 1.0],
+                            [0.0, 1.0, 2.0, 1002.0])
+        assert sizes == [2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_state_overflow_names_first_time(self):
         # the step matrix e^{300 H} is finite, e^{900} is not
         with pytest.raises(HypflowError, match=r"at t = 900\.0$"):
@@ -476,7 +487,7 @@ class TestSplitting:
             flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
 
     def test_singular_step_is_nonconvergence(self, monkeypatch):
-        fail_like_lapack(monkeypatch, "inv")
+        fail_like_lapack(monkeypatch, "solve")
         with pytest.raises(NonConvergence,
                            match="singular sign step: Singular matrix"):
             flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))

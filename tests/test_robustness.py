@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from hypflow import densemat, inertia, matching, robustness, spectral
+from hypflow import cli, densemat, inertia, matching, robustness, spectral
 from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
                             NotHyperbolic, ShiftTooSmall)
 from hypflow.inertia import ConjugacyClass
 
-from conftest import child_env, fail_like_lapack
+from conftest import child_env, fail_like_lapack, write_matrix
 from oracles import (bottleneck_pairings, byers_distance, campaign_recount,
                      grid_distance_oracle, gram_schmidt_orthogonal,
                      refined_grid_distance, svd_sigma_min)
@@ -212,6 +212,25 @@ class TestMargin:
         m = robustness.margin(h)
         distance = refined_grid_distance(h)
         assert 0.0 < m.lower <= distance <= m.upper * (1.0 + 1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_crossing_midpoint_near_the_float_maximum(self, capfd, tmp_path):
+        # hyperbolic (2, 1) with ||A||_2 = 1.44e308, so margin brackets A
+        # itself: the midpoint (lo + hi) / 2 of two crossings near 1e308
+        # was inf, LAPACK printed DLASCL errors on A - i*inf*I, and margin
+        # gave up after 64 levels
+        a = np.array([[-1e-100, -0.5, -8.9e307], [8.9e307, -1e-160, 1e300],
+                      [8.9e307, -8.9e307, -1e-160]])
+        m = robustness.margin(a)
+        ref = robustness.margin(np.ldexp(a, -1023))
+        assert m.lower == pytest.approx(math.ldexp(ref.lower, 1023), rel=1e-15)
+        assert m.upper == pytest.approx(math.ldexp(ref.upper, 1023), rel=1e-15)
+        path = tmp_path / "a.json"
+        write_matrix(path, a)
+        assert cli.main(["margin", str(path)]) == 0
+        assert cli.main(["perturb", str(path), "--samples", "20"]) == 0
+        captured = capfd.readouterr()
+        assert "On entry to" not in captured.out + captured.err
 
     def test_normal_matrix_at_a_large_frequency_is_bracketed_tightly(self):
         # normal, so the distance is min |Re lambda| = 1e4 exactly; the

