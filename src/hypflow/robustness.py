@@ -95,11 +95,12 @@ class MarginResult:
 
 @dataclass(eq=False)
 class HyperbolizeResult:
-    """Outcome of the diagonal-shift construction A + eps*I."""
+    """Outcome of the diagonal-shift construction A + eps*I. ``delta`` is
+    None when no eigenvalue is off the axis."""
 
     epsilon: float
     shifted: np.ndarray
-    delta: float
+    delta: float | None
 
 
 @dataclass(eq=False)
@@ -131,8 +132,8 @@ def hyperbolize(a, tau: float | None = None,
     """Shift A by eps*I so the result is hyperbolic.
 
     eps = min(eps_cap, delta/2) where delta is the smallest |Re lambda| among
-    eigenvalues already off the axis (infinite if there are none, in which
-    case any positive eps works and eps_cap is used). eps_cap defaults to
+    eigenvalues already off the axis. If there are none, any positive eps
+    works: eps_cap is used, and delta is None. eps_cap defaults to
     max(1, 10*tau), so that it clears the relative tolerance band of a large
     matrix. Raises ShiftTooSmall if the computed eps does not clear the
     tolerance band, and ValueError if A + eps*I passes the float range.
@@ -147,8 +148,8 @@ def hyperbolize(a, tau: float | None = None,
         eps_cap = max(1.0, 10.0 * tau)
     re = np.abs(verdict.spectrum.values.real)
     off_axis = re[re > tau]
-    delta = float(np.min(off_axis)) if off_axis.size else math.inf
-    eps = min(eps_cap, delta / 2.0)
+    delta = float(np.min(off_axis)) if off_axis.size else None
+    eps = eps_cap if delta is None else min(eps_cap, delta / 2.0)
     if eps <= tau:
         raise ShiftTooSmall(
             f"shift {eps:.3e} does not clear the tolerance band {tau:.3e}"

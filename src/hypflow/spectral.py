@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _lapack, _singular_values, _umath_linalg, as_matrix
+from .densemat import (_entries, _lapack, _singular_values, _umath_linalg,
+                       as_matrix)
 from .errors import NonConvergence
 
 _EPS = float(np.finfo(float).eps)
@@ -129,38 +130,67 @@ def _horner_with_bound(coeffs: np.ndarray, z: complex):
     return v, 2.0 * len(coeffs) * _EPS * s
 
 
+def _balanced(coeffs: np.ndarray) -> tuple[int, np.ndarray]:
+    """The k, and the coefficients b_j = (c_j / c_d) 2**(k (j - d)), all at
+    most 1 in modulus, of the polynomial whose roots w give the roots
+    z = 2**k w of ``coeffs``. Each c_j is taken as 2**f_j times parts below
+    1, so that neither a ratio c_j / c_d nor its logarithm leaves the float
+    range; the scalings by powers of two are exact."""
+    d = len(coeffs) - 1
+    f = np.frexp(np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)))[1]
+    r = np.ldexp(coeffs.view(float), np.repeat(-f, 2)).view(complex)
+    r = r / r[-1]
+    e = f - f[-1]
+    logs = [(e[j] + math.log2(abs(c))) / (d - j)
+            for j, c in enumerate(r[:-1].tolist()) if c]
+    k = math.ceil(max(logs, default=0))
+    scale = np.repeat(e + k * (np.arange(d + 1) - d), 2)
+    return k, np.ldexp(r.view(float), scale).view(complex)
+
+
 def poly_roots(p) -> Spectrum:
     """All complex roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
 
     Starts from perturbed-circle initial guesses inside a Cauchy bound and
     sweeps all roots at once; a root stops moving when its correction falls
     below 1e-12*(1+|root|) or its residual is at the round-off floor of the
-    Horner evaluation (which is how multiple roots terminate). Where R**d
-    of the start radius R passes the float range, the iteration runs on the
-    roots scaled by a power of two to modulus at most 2.
+    Horner evaluation (which is how multiple roots terminate). Where
+    2 (2R)**d of the start radius R, or a ratio of a coefficient to the
+    leading one, passes the float range, the iteration runs on the roots
+    scaled by a power of two to modulus at most 2. The coefficients, in
+    ascending order, must be finite real or complex numbers; a root or its
+    error bound past the float range raises ValueError.
     """
-    coeffs = p.coeffs if isinstance(p, CharPoly) else np.asarray(p)
-    coeffs = np.atleast_1d(np.array(coeffs, dtype=complex))
+    coeffs = np.atleast_1d(_entries(
+        p.coeffs if isinstance(p, CharPoly) else p, "coefficient", complex))
+    if coeffs.ndim != 1:
+        raise ValueError("coefficients must be one-dimensional")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     d = len(coeffs) - 1
     if d == 0:
         return Spectrum(values=np.zeros(0, dtype=complex), residual_bound=0.0)
-    a = coeffs / coeffs[-1]
+    # the monic division and the start radius can pass the float range,
+    # complex division by a subnormal even on a zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = coeffs / coeffs[-1]
+        center = -a[d - 1] / d
+        radius = 1.0 + float(np.max(np.abs(a[:-1]))) + float(abs(center))
+    # the start points lie within 2R of 0, where Horner's bound is at most
+    # 2 (2R)**d
+    if not d * math.log2(2.0 * radius) < 1023:
+        k, b = _balanced(coeffs)
+        w = poly_roots(b)
+        with np.errstate(over="ignore"):
+            values = np.ldexp(w.values.view(float), k).view(complex)
+            bound = float(np.ldexp(w.residual_bound, k))
+        if not (np.isfinite(values).all() and bound < math.inf):
+            raise ValueError("polynomial roots pass the float range")
+        return Spectrum(values=values, residual_bound=bound)
     if d == 1:
         root = -a[0]
         return Spectrum(values=np.array([root]),
                         residual_bound=4.0 * _EPS * (1.0 + abs(root)))
-    center = -a[d - 1] / d
-    radius = 1.0 + float(np.max(np.abs(a[:-1]))) + float(abs(center))
-    if d * math.log2(radius) >= 1024:
-        # Horner would overflow near |z| = radius: z = 2**k w for the roots
-        # w of the polynomial of coefficients a_j 2**(k (j - d)), all <= 1
-        k = math.ceil(max(math.log2(abs(c)) / (d - j)
-                          for j, c in enumerate(a[:-1].tolist()) if c))
-        w = poly_roots(a * 2.0 ** (k * (np.arange(d + 1) - d)))
-        return Spectrum(values=np.ldexp(w.values.view(float), k).view(complex),
-                        residual_bound=float(np.ldexp(w.residual_bound, k)))
     deriv = a[1:] * np.arange(1, d + 1)
     angles = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.4
     z = center + radius * np.exp(1j * angles)

@@ -765,8 +765,10 @@ class TestDeterminism:
 
 # SHA-256 of each payload as the loop implementation (one exponential per
 # new step, one trajectory per portrait start point) wrote it, with numpy 2.4
-# and OpenBLAS 0.3 on x86-64: stacking the exponentials and the start points
-# must not move a byte.
+# and OpenBLAS 0.3 on x86-64, whose DYNAMIC_ARCH build picked its SkylakeX
+# kernels: stacking the exponentials and the start points must not move a
+# byte. Other OpenBLAS kernels round differently in the last bits (ROADMAP.md
+# item 2, tier-1 independent of the OpenBLAS kernel; tests/blas_kernels.py).
 SHEAR3 = [[-1.0, 2.0, 0.0], [0.5, -0.3, 1.0], [0.0, -1.0, 0.2]]
 PINNED = {
     "flow-uniform": (
@@ -821,8 +823,12 @@ def test_payload_bytes_pinned_when_rewritten(capsys, tmp_path, name):
 
 # SHA-256 of [exit code, stdout, stderr] of each report request as the path
 # that classified and took ||A||_2 several times per request wrote them, with
-# numpy 2.4 and OpenBLAS 0.3 on x86-64: passing one verdict through a request
-# must not move a byte.
+# numpy 2.4 and OpenBLAS 0.3 on x86-64, whose DYNAMIC_ARCH build picked its
+# SkylakeX kernels: passing one verdict through a request must not move a
+# byte. Other OpenBLAS kernels round differently in the last bits: under
+# Haswell, margin(SHEAR3).lower reads 0.1712367897994687, not
+# 0.17123678979946877 (ROADMAP.md item 2, tier-1 independent of the OpenBLAS
+# kernel; tests/blas_kernels.py).
 NEAR_AXIS = [[-0.01, 0.0], [0.0, 2.0]]
 ROTATION = [[0.0, 1.0], [-1.0, 0.0]]
 REPORTS = {
@@ -874,8 +880,10 @@ def test_report_bytes_pinned(capsys, tmp_path, name):
 
 
 # SHA-256 of the stdout of `hypflow verify`, as the per-suite loops wrote it
-# with numpy 2.4 and OpenBLAS 0.3 on x86-64: running every suite through one
-# loop must not move a byte.
+# with numpy 2.4 and OpenBLAS 0.3 on x86-64, whose DYNAMIC_ARCH build picked
+# its SkylakeX kernels: running every suite through one loop must not move a
+# byte. Other OpenBLAS kernels round differently in the last bits (ROADMAP.md
+# item 2, tier-1 independent of the OpenBLAS kernel; tests/blas_kernels.py).
 VERIFY = {
     "openness": (
         ("openness",),

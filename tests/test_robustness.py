@@ -61,7 +61,8 @@ class TestHyperbolize:
         r = robustness.hyperbolize(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                    tau=1e-9, eps_cap=0.5)
         assert r.epsilon == 0.5
-        assert r.delta == np.inf
+        # no eigenvalue is off the axis; delta was inf
+        assert r.delta is None
         v = inertia.classify(r.shifted, 1e-9)
         assert v.kind == inertia.HYPERBOLIC
         assert (v.inertia.s, v.inertia.u) == (0, 2)

@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 
 import numpy as np
@@ -168,6 +170,72 @@ class TestPolyRoots:
         got = spectral.poly_roots(coeffs)
         assert matching.matched_distance(got.values, roots) <= 1e-12 * modulus
         assert got.residual_bound <= 1e-10 * modulus
+
+    @pytest.mark.filterwarnings("error")
+    def test_start_points_beyond_the_radius_keep_horner_in_range(self):
+        # R**d of the start radius R = 1.67e34 is in range, but Horner's
+        # bound at a start point, up to 2R from 0, warned "overflow
+        # encountered in scalar multiply"
+        c = 1.5e34
+        # z^9 - c z^8 + 1: one root near c, eight on the circle z^8 = 1/c,
+        # of radius 5.6e-5; five roots came back near 1e34
+        got = spectral.poly_roots([1.0] + [0.0] * 7 + [-c, 1.0]).values
+        big = np.argmax(np.abs(got))
+        assert abs(got[big] - c) <= 1e-12 * c
+        # the iteration on the roots scaled by 2**-k resolves the small ones
+        # to its absolute accuracy only
+        assert np.abs(np.delete(got, big)).max() <= 1e-10 * c
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, roots, modulus", [
+        ([1e300, 0.0, 1e-10], [1j, -1j], math.sqrt(1e300) / math.sqrt(1e-10)),
+        ([1.0, 0.0, 0.0, 1e-320], np.exp(1j * np.pi * np.array([1, 3, 5]) / 3),
+         math.exp(-math.log(1e-320) / 3)),
+        ([1.7e308 + 1.7e308j, 1.0], [-1.7 - 1.7j], 1e308),
+        ([1.7e308 + 1.7e308j, 0.0, 1.0],
+         [cmath.sqrt(-1.7 - 1.7j), -cmath.sqrt(-1.7 - 1.7j)], 1e154),
+        ([0.0, 0.0, 5e-324], [0.0, 0.0], 1.0)],
+        ids=["quadratic", "subnormal_leading", "linear_complex",
+             "quadratic_complex", "zero_roots"])
+    def test_ratio_to_the_leading_coefficient_past_the_float_range(
+            self, coeffs, roots, modulus):
+        # the monic division c_j / c_d warned "overflow encountered in
+        # divide" on the first two and the last (numpy's complex division
+        # overflows dividing by a subnormal, zero included); the third came
+        # back with residual_bound inf, and the fourth raised OverflowError
+        # in abs() of the scaled coefficients
+        got = spectral.poly_roots(coeffs)
+        assert matching.matched_distance(got.values / modulus,
+                                         np.array(roots)) <= 1e-12
+        assert got.residual_bound <= 1e-10 * modulus
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [
+        [1e300, 1e-10], [1.7e308, 0.0, 5e-324]], ids=["linear", "quadratic"])
+    def test_roots_past_the_float_range_refused(self, coeffs):
+        # the roots are -1e310 and +-1.8e315i; the first warned "overflow
+        # encountered in divide"
+        with pytest.raises(ValueError,
+                           match="^polynomial roots pass the float range$"):
+            spectral.poly_roots(coeffs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, what", [
+        ([np.inf, 1.0], "finite"), ([1.0, np.nan], "finite"),
+        ([1.0, -np.inf, 1.0], "finite"), (["1", 1.0], "numbers")],
+        ids=["inf", "nan", "middle_inf", "string"])
+    def test_coefficients_that_are_not_finite_numbers_refused(self, coeffs,
+                                                              what):
+        # inf and nan warned "invalid value encountered in divide" and ran
+        # into the Aberth loop
+        with pytest.raises(ValueError,
+                           match=f"^coefficient entries must be {what}$"):
+            spectral.poly_roots(coeffs)
+
+    def test_coefficients_must_be_one_dimensional(self):
+        with pytest.raises(ValueError,
+                           match="^coefficients must be one-dimensional$"):
+            spectral.poly_roots([[1.0, 2.0], [3.0, 1.0]])
 
     def test_oracle_agreement_with_qr(self, rng):
         worst = 0.0
