@@ -67,8 +67,7 @@ class Verdict:
     with smallest |Re|, ties broken by |Im| then lexicographically), None
     otherwise. The spectrum and the validated ``matrix`` go with the verdict
     to the functions it is passed on to, so a request analyses its matrix
-    once. Both arrays are read-only, since ``classify`` can hand the same
-    verdict to a later call (see there).
+    once.
     """
 
     kind: str
@@ -138,13 +137,6 @@ def _witness(values: np.ndarray, tau: float) -> complex:
     return on_axis[0]
 
 
-# The verdict ``classify`` returned last, with its key, as one tuple that
-# is replaced whole: a call that races another reads one pair or the other,
-# so a race can only miss. One entry, so that a hit is a repeat of the call
-# just made, such as ``margin`` then ``perturb_campaign`` on one matrix.
-_last = (None, None)
-
-
 def classify(a, tau: float | None = None) -> Verdict:
     """Three-valued hyperbolicity verdict for a square real matrix.
 
@@ -153,20 +145,8 @@ def classify(a, tau: float | None = None) -> Verdict:
     (a witness is attached); anything in between is Indeterminate. tau
     defaults to ``default_tolerance(A)``, the only use of ||A||_2 here.
     Raises ValueError when an eigenvalue passes the float range.
-
-    A call whose validated matrix has the bytes of the one before it, and
-    whose tau is None or a Python float with the same bits (so -0.0 is not
-    0.0), returns that call's verdict, with no eigensolve or SVD. Any other
-    tau (a Fraction, an np.float32) is classified afresh.
     """
-    global _last
     m = densemat.as_matrix(a)
-    key = None
-    if tau is None or type(tau) is float:
-        key = (m.tobytes(), tau if tau is None else tau.hex())
-        last_key, last = _last
-        if key == last_key:
-            return last
     if tau is None:
         tau = _default_tolerance(m)
     spec = spectral._spectrum(m)
@@ -182,12 +162,8 @@ def classify(a, tau: float | None = None) -> Verdict:
         kind, witness = NON_HYPERBOLIC, _witness(spec.values, tau)
     elif min(map(abs, re)) > tau + spec.residual_bound:
         kind = HYPERBOLIC
-    m.flags.writeable = spec.values.flags.writeable = False
-    verdict = Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
-                      matrix=m)
-    if key is not None:
-        _last = (key, verdict)
-    return verdict
+    return Verdict(kind=kind, inertia=inr, witness=witness, spectrum=spec,
+                   matrix=m)
 
 
 def conjugacy_class(a, tau: float | None = None) -> ConjugacyClass:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypflow import densemat, inertia
+from hypflow import densemat
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,14 +33,6 @@ FLOAT_RANGE_EDGES = {
     # the determinant -5e-484 rounds to -0.0 from a subnormal pivot
     "subnormal_pivot": [[0.0, 1e-160], [5e-324, 1e-160]],
 }
-
-
-@pytest.fixture(autouse=True)
-def empty_verdict_memo():
-    """Each test starts with ``classify``'s one-entry memo empty, so that no
-    test's kernel counts depend on the matrix an earlier test classified
-    last."""
-    inertia._last = (None, None)
 
 
 @pytest.fixture

@@ -1,9 +1,5 @@
 import dataclasses
-import functools
-import sys
-import threading
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,131 +159,6 @@ class TestClassify:
             sim = t @ a @ np.linalg.inv(t)
             got = inertia.classify(sim, 1e-6).inertia
             assert (got.s, got.u, got.c) == (base.s, base.u, base.c)
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """The arguments of every LAPACK eigensolve and SVD, by gufunc name."""
-    calls = {"eigvals": [], "svd": []}
-    for name in calls:
-        gufunc = getattr(densemat._umath_linalg, name)
-
-        def counting(a, *args, _gufunc=gufunc, _name=name, **kwargs):
-            calls[_name].append(np.array(a))
-            return _gufunc(a, *args, **kwargs)
-
-        monkeypatch.setattr(densemat._umath_linalg, name,
-                            functools.wraps(gufunc)(counting))
-    return calls
-
-
-def same_verdict(v, w):
-    """Whether two verdicts hold the same bits, the sign of a zero tau
-    included."""
-    return (v.kind == w.kind
-            and (v.inertia.s, v.inertia.u, v.inertia.c)
-            == (w.inertia.s, w.inertia.u, w.inertia.c)
-            and v.inertia.tau.hex() == w.inertia.tau.hex()
-            and repr(v.witness) == repr(w.witness)
-            and v.spectrum.values.tobytes() == w.spectrum.values.tobytes()
-            and v.spectrum.residual_bound == w.spectrum.residual_bound
-            and v.matrix.tobytes() == w.matrix.tobytes())
-
-
-SADDLE = [[-1.0, 3.0], [0.0, 2.0]]
-# the second call of each pair must not be answered from the first
-MEMO_MISSES = {
-    "tau": ((SADDLE, 1e-9), (SADDLE, 2e-9)),
-    "tau_default": ((SADDLE, None), (SADDLE, 1e-9)),
-    "signed_zero_tau": ((SADDLE, 0.0), (SADDLE, -0.0)),
-    "entry": ((SADDLE, None),
-              ([[-1.0, 3.0], [0.0, np.nextafter(2.0, 3.0)]], None)),
-    "signed_zero_entry": ((SADDLE, None), ([[-1.0, 3.0], [-0.0, 2.0]], None)),
-    # the 2x2 matrix's entries are the first four of the 3x3 one's
-    "d": ((SADDLE, None), ([[-1.0, 3.0, 0.0], [2.0, 1.0, 0.0],
-                            [0.0, 0.0, 1.0]], None)),
-    "fraction_tau": ((SADDLE, 1e-9), (SADDLE, Fraction(1, 10 ** 9))),
-}
-
-
-class TestVerdictMemo:
-    def test_hit_is_the_same_verdict_without_lapack(self, lapack_calls):
-        for tau in (None, 1e-9, 0.0):
-            first = inertia.classify(np.array(SADDLE), tau)
-            lapack_calls["eigvals"].clear()
-            lapack_calls["svd"].clear()
-            # equal bytes from another container: a list
-            assert inertia.classify(SADDLE, tau) is first
-            assert lapack_calls == {"eigvals": [], "svd": []}
-
-    def test_margin_then_campaign_solve_the_matrix_once(self, lapack_calls):
-        h = np.array(SADDLE)
-        lower = robustness.margin(h).lower
-        report = robustness.perturb_campaign(h, 20, 0.9 * lower, 1)
-        assert report.flips == 0
-        solves_of_h = [a for a in lapack_calls["eigvals"]
-                       if a.shape == h.shape and a.tobytes() == h.tobytes()]
-        assert len(solves_of_h) == 1
-
-    def test_one_entry(self):
-        first = inertia.classify(SADDLE)
-        inertia.classify(np.diag([-1.0, -2.0]))
-        again = inertia.classify(SADDLE)
-        assert again is not first
-        assert same_verdict(again, first)
-
-    @pytest.mark.parametrize("case", MEMO_MISSES)
-    def test_miss_answers_as_a_cold_call(self, case):
-        (a, tau), (b, sigma) = MEMO_MISSES[case]
-        cold = inertia.classify(b, sigma)
-        inertia._last = (None, None)
-        first = inertia.classify(a, tau)
-        got = inertia.classify(b, sigma)
-        assert got is not first
-        assert same_verdict(got, cold)
-        if case == "signed_zero_tau":
-            # a key that compared tau by value returned tau = 0.0 here
-            assert got.inertia.tau.hex() == "-0x0.0p+0"
-
-    def test_verdict_arrays_are_read_only(self):
-        a = np.array(SADDLE)
-        v = inertia.classify(a)
-        with pytest.raises(ValueError, match="read-only"):
-            v.matrix[0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            v.spectrum.values[0] = 5.0
-        # the caller's array is copied, not aliased or frozen
-        assert a.flags.writeable
-        a[0, 0] = 5.0
-        assert v.matrix[0, 0] == -1.0
-        assert inertia.classify(SADDLE) is v
-
-    def test_racing_threads_get_their_own_verdicts(self):
-        # a race between a reader and a writer of the memo can only miss
-        mats = [np.diag([-1.0, 2.0, 3.0]), np.diag([-1.0, -2.0, 3.0])]
-        wrong = []
-
-        def work(i):
-            for j in range(300):
-                a = mats[(i + j) % 2]
-                v = inertia.classify(a)
-                if (v.matrix.tobytes() != a.tobytes()
-                        or v.inertia.s != 1 + (i + j) % 2):
-                    wrong.append((i, j))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,))
-                       for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
 
 
 class TestConjugacyClass:

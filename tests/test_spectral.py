@@ -237,6 +237,35 @@ class TestPolyRoots:
                            match="^coefficients must be one-dimensional$"):
             spectral.poly_roots([[1.0, 2.0], [3.0, 1.0]])
 
+    def test_high_degree_iterates_on_its_own_coefficients(self, monkeypatch):
+        # z^600 - 1 called poly_roots on itself until RecursionError: the
+        # scaled path took it, as 600 log2(2R) >= 1023 at R = 2, and its
+        # scaling by 2**0 left it as it was. Horner stays in range at its
+        # start points, of modulus 2, so the iteration runs on it directly
+        # (run in full, it gives the roots of unity to 3e-16, in about 45 s)
+        coeffs = [-1.0] + [0.0] * 599 + [1.0]
+        evaluated = []
+
+        class Started(Exception):
+            pass
+
+        def first_evaluation(a, z):
+            evaluated.append(np.array(a))
+            raise Started
+
+        monkeypatch.setattr(spectral, "_horner_with_bound", first_evaluation)
+        with pytest.raises(Started):
+            spectral.poly_roots(coeffs)
+        assert evaluated[0].tobytes() == np.array(coeffs, complex).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_degree_past_the_float_range_refused(self):
+        # z^1100 - 1 called poly_roots on itself until RecursionError;
+        # Horner's terms at its start points, 2**1100, pass the float range
+        with pytest.raises(ValueError, match="^a polynomial of degree 1100 "
+                           ".* passes the float range$"):
+            spectral.poly_roots([-1.0] + [0.0] * 1099 + [1.0])
+
     def test_oracle_agreement_with_qr(self, rng):
         worst = 0.0
         for _ in range(50):
