@@ -155,13 +155,13 @@ def poly_roots(p) -> Spectrum:
     sweeps all roots at once; a root stops moving when its correction falls
     below 1e-12*(1+|root|) or its residual is at the round-off floor of the
     Horner evaluation (which is how multiple roots terminate). Where
-    rho**(d + 1), for the largest modulus rho of a start point, or a ratio
-    of a coefficient to the leading one passes the float range, the
-    iteration runs on the roots scaled by a power of two to modulus at most
-    2. The coefficients, in ascending order, must be finite real or complex
+    2 rho**d, for the largest modulus rho of a start point, or a ratio of a
+    coefficient to the leading one passes the float range, the iteration
+    runs on the roots scaled by a power of two to modulus at most 2. The
+    coefficients, in ascending order, must be finite real or complex
     numbers; a root or its error bound past the float range raises
     ValueError, and so does a degree past about 1000 whose roots, so
-    scaled, still take rho**(d + 1) past it.
+    scaled, still take 2 rho**d past it.
     """
     coeffs = np.atleast_1d(_entries(
         p.coeffs if isinstance(p, CharPoly) else p, "coefficient", complex))
@@ -178,10 +178,10 @@ def poly_roots(p) -> Spectrum:
         a = coeffs / coeffs[-1]
         center = -a[d - 1] / d
         radius = 1.0 + float(np.max(np.abs(a[:-1]))) + float(abs(center))
-    # the start points lie within rho of 0, where Horner's bound is at most
-    # 2 (d + 1) eps rho**(d + 1)
+    # the start points lie within rho of 0, where Horner's running sum
+    # sum |a_j| rho**j is at most 2 rho**d, as |a_j| < R <= rho
     rho = float(abs(center)) + radius
-    if not (d + 1) * math.log2(rho) < 1023:
+    if not d * math.log2(rho) < 1023:
         k, b = _balanced(coeffs)
         if k == 0 and np.isfinite(a).all():
             # b is a itself: the degree alone takes Horner past the range
