@@ -12,6 +12,7 @@ perturbation sizes in this package are measured in the operator 2-norm
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 
@@ -37,27 +38,39 @@ _FAILURES = {
 }
 
 
-def _lapack(gufunc, *args):
-    """``gufunc(*args)`` for a gufunc of ``numpy.linalg._umath_linalg``, as
-    the numpy.linalg routine that wraps it calls it: on its loop in
-    ``_LOOPS``, so every value keeps its bits, and under the same errstate,
-    which ignores over, divide and under and raises a LAPACK failure as
-    LinAlgError with numpy's message. det and slogdet run under the
-    caller's errstate, as in numpy.linalg. The caller validates the arrays,
-    and a value past the float range comes back as LAPACK computed it.
-    """
-    name = gufunc.__name__
-    signature = _LOOPS[name]
-    message = _FAILURES.get(name)
-    if message is None:
-        return gufunc(*args, signature=signature)
-
+def _guarded(message: str) -> contextvars.Context:
+    """A context that holds numpy.linalg's errstate for a gufunc reporting
+    failure with ``message``: over, divide and under are ignored, and the
+    invalid flag raises LinAlgError with the message."""
     def fail(err, flag):
         raise LinAlgError(message)
 
     with np.errstate(call=fail, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        return gufunc(*args, signature=signature)
+        return contextvars.copy_context()
+
+
+# Built once, not per call: setting up an np.errstate takes a sizeable
+# share of a LAPACK call on the package's small matrices.
+_GUARDS = {name: _guarded(message) for name, message in _FAILURES.items()}
+
+
+def _lapack(gufunc, *args):
+    """``gufunc(*args)`` for a gufunc of ``numpy.linalg._umath_linalg``, as
+    the numpy.linalg routine that wraps it calls it: on its loop in
+    ``_LOOPS``, so every value keeps its bits, and under the same errstate,
+    which ignores over, divide and under and raises a LAPACK failure as
+    LinAlgError with numpy's message. The errstate's context (``_GUARDS``)
+    is copied for each call, so that any thread can run in it, at any
+    depth. det and slogdet run under the caller's errstate, as in
+    numpy.linalg. The caller validates the arrays, and a value past the
+    float range comes back as LAPACK computed it.
+    """
+    name = gufunc.__name__
+    guard = _GUARDS.get(name)
+    if guard is None:
+        return gufunc(*args, signature=_LOOPS[name])
+    return guard.copy().run(gufunc, *args, signature=_LOOPS[name])
 
 
 def _entries(a, what: str, dtype=float) -> np.ndarray:

@@ -6,13 +6,17 @@ as bytes, so that signed zeros and nan payloads count) and raises its
 LinAlgError where numpy.linalg does.
 """
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from hypflow import densemat, robustness, spectral
 from hypflow.densemat import _lapack, _umath_linalg
 
-from conftest import FLOAT_RANGE_EDGES
+from conftest import FLOAT_RANGE_EDGES, fail_like_lapack
 
 
 def _corpus() -> dict:
@@ -144,3 +148,64 @@ def test_single_precision_stacks_keep_double_values(dtype):
     before = np.linalg.eigvals(stack).astype(complex)
     assert np.array_equal(before, got.astype(np.complex64))
     assert not np.array_equal(before, got)
+
+
+def _record_error(err, flag):
+    _record_error.calls.append(err)
+
+
+_record_error.calls = []
+
+
+@pytest.mark.parametrize("callers", ["ignore", "warn", "raise", "call"])
+def test_failure_raises_numpys_error_under_any_callers_errstate(
+        monkeypatch, callers):
+    # a failing gufunc raises its invalid flag, which the errstate _lapack
+    # runs it under turns into numpy.linalg's LinAlgError, whatever errstate
+    # the caller set; the caller's comes back unchanged
+    fail_like_lapack(monkeypatch, "eigvals")
+    _record_error.calls.clear()
+    with np.errstate(all=callers, call=_record_error):
+        before = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^Eigenvalues did not converge$"):
+                _lapack(_umath_linalg.eigvals, np.eye(3))
+        assert (np.geterr(), np.geterrcall()) == before
+    assert _record_error.calls == []
+
+
+def test_threads_answer_and_fail_at_once(monkeypatch):
+    # each call runs in its own copy of the errstate's context: a context
+    # that one thread is in cannot be entered by another
+    fail_like_lapack(monkeypatch, "eigvals", lambda a: a[0, 0] < 0)
+    mats = [np.diag([1.0, 2.0]), np.diag([-1.0, 2.0])]
+    wrong = []
+
+    def work(i):
+        for j in range(200):
+            failing = (i + j) % 2
+            try:
+                values = _lapack(_umath_linalg.eigvals, mats[failing])
+                ok = not failing and sorted(values.real) == [1.0, 2.0]
+            except np.linalg.LinAlgError as exc:
+                ok = failing and str(exc) == "Eigenvalues did not converge"
+            except Exception as exc:  # RuntimeError: context already entered
+                ok = False
+                wrong.append(repr(exc))
+            if not ok:
+                wrong.append((i, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
