@@ -250,8 +250,11 @@ def _shifted(m: np.ndarray, omegas: list) -> np.ndarray:
     """The stack of A - i*omega*I over ``omegas``: i*omega subtracted on the
     diagonal of a complex copy of A for each omega."""
     k, d = len(omegas), m.shape[0]
-    stack = m.astype(complex).reshape(1, d * d).repeat(k, axis=0)
-    stack[:, ::d + 1] -= 1j * np.array(omegas)[:, None]
+    stack = np.empty((k, d * d), complex)
+    stack[:] = m.reshape(1, d * d)
+    # omega >= 0, so the imaginary part 0.0 - omega has the bits the
+    # complex subtraction of i*omega gives, and the real part keeps A's
+    stack[:, ::d + 1].imag -= np.array(omegas)[:, None]
     return stack.reshape(k, d, d)
 
 
@@ -362,14 +365,24 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     per-matrix arithmetic as one call per sample. A sample whose A + E
     passes the float range is counted on 2**-x A + 2**-x E against
     2**-x tau, with 2**-x taking A's entries and the radius below 1; its
-    witness is scaled back.
+    witness is scaled back. A one-sample campaign evaluates its one A + E
+    directly, and takes the block path only for a direction of norm 0 or
+    an A + E past the float range; its draws and its report are those of
+    the block path.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
 
 def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
-    """``perturb_campaign`` around the matrix that ``verdict`` classified."""
+    """``perturb_campaign`` around the matrix that ``verdict`` classified.
+
+    One sample is drawn as sample 0 of a block and counted on Python floats
+    from one eigenvalue call on its A + E, without the block arrays; a
+    direction of norm 0 or an A + E past the float range goes on to the
+    block path, which drops or scales it. Every other sample count runs
+    the block path.
+    """
     samples = densemat._count(samples, "samples", 1)
     radius = densemat._real(radius, "radius")
     if not 0 < radius < math.inf:
@@ -379,6 +392,27 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         raise NotHyperbolic(f"base matrix classified as {verdict.kind}")
     m, base, tau = verdict.matrix, verdict.inertia, verdict.inertia.tau
     d = m.shape[0]
+    if samples == 1:
+        # the draws of a block's sample 0. The norm comes from a (1, d, d)
+        # stack, as in a block: the package takes the SVD of a single
+        # matrix only for an input's 2-norm. The block path, if it runs,
+        # draws the same stream again.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        g = rng.standard_normal((1, d, d))
+        frac = 1.0 - rng.random()
+        norm = float(densemat._singular_values(g)[0, 0])
+        if norm:
+            with np.errstate(over="ignore"):
+                e = g[0] * (radius * frac / norm)
+                perturbed = m + e
+            if np.isfinite(perturbed).all():
+                re = spectral._eigenvalues_many(perturbed).real.tolist()
+                flipped = (sum(v < -tau for v in re) != base.s
+                           or sum(v > tau for v in re) != base.u)
+                witnesses = [(0, e)] if flipped else []
+                return CampaignReport(base_inertia=base, samples=1,
+                                      radius=radius, flips=len(witnesses),
+                                      seed=seed, flip_witnesses=witnesses)
     flips = 0
     witnesses = []
     for start in range(0, samples, _CAMPAIGN_BLOCK):
@@ -517,7 +551,8 @@ def _random_orthogonal(rng: np.random.Generator, count: int,
     # qr_r_raw overwrites a: R on and above the diagonal, reflectors below
     tau = _lapack(_umath_linalg.qr_r_raw, a)
     q = _lapack(_umath_linalg.qr_reduced, a, tau)
-    return q * np.where(np.diagonal(a, axis1=1, axis2=2) < 0, -1.0, 1.0)[:, None]
+    return np.negative(q, out=q,
+                       where=(np.diagonal(a, axis1=1, axis2=2) < 0)[:, None])
 
 
 def generate(cls: ConjugacyClass, conditioning: float = 1.0,

@@ -96,6 +96,12 @@ def test_complex_matrix_refused(name):
 
 # REAL_MATRIX_CALLS and the other public functions of one matrix
 FLOAT_RANGE_CALLS = dict(REAL_MATRIX_CALLS, **{
+    # one sample, evaluated on its own matrix; at radius 1e308 the A + E of
+    # near_max drawn from seed 76 passes the float range (and flips), and
+    # the block path counts it scaled
+    "perturb_campaign_one": lambda a: hypflow.perturb_campaign(a, 1, 0.1, 0),
+    "perturb_campaign_one_huge": lambda a: hypflow.perturb_campaign(
+        a, 1, 1e308, 76),
     "expm_many": lambda a: hypflow.expm_many([a]),
     "op_norm2": hypflow.op_norm2,
     "sigma_min": hypflow.sigma_min,
@@ -320,9 +326,12 @@ def test_scalars_kept_as_validated_floats(value):
 
 
 # Calls that validate their matrix once, and the eigensolves each makes:
-# classify's, then margin's one Hamiltonian level and the campaign's one
-# stacked solve. The first three, given tau, make an openness trial. The
-# flows validate their start point and time grid besides.
+# classify's, then margin's one Hamiltonian level and the one-sample
+# campaign's one solve of its A + E, which it evaluates directly (a
+# direction of norm 0 or an A + E past the float range would take the block
+# path, with the same draws and report). The first three, given tau, make
+# an openness trial. The flows validate their start point and time grid
+# besides.
 ONE_VALIDATION_CALLS = {
     "classify": (lambda: hypflow.classify(_DIAG, 1e-9), 1, 1),
     "margin": (lambda: hypflow.margin(_DIAG, 1e-9), 1, 2),

@@ -543,32 +543,66 @@ class TestStackedCampaign:
         assert len(report.flip_witnesses) == 10
 
     def test_zero_norm_direction_skipped(self, monkeypatch):
+        # a one-sample campaign leaves a direction of norm 0 to the block
+        # path, which drops it; seed 1's one sample flips with its norm
         h, radius = CAMPAIGN_BASES[1]
         tau = inertia.default_tolerance(h)
-        flips, witnesses = campaign_recount(h, 60, radius, 7, tau)
-        skip = [i for i, _ in witnesses[:2]]
         singular_values = densemat._singular_values
+        for samples, seed in ((60, 7), (1, 1)):
+            flips, witnesses = campaign_recount(h, samples, radius, seed, tau)
+            skip = [i for i, _ in witnesses[:2]]
+            assert len(skip) == min(samples, 2)
 
-        def zero_norms(ms):
-            values = singular_values(ms)
-            if np.ndim(ms) == 3:
-                values[skip] = 0.0
-            return values
+            def zero_norms(ms, skip=skip):
+                values = singular_values(ms)
+                if np.ndim(ms) == 3:
+                    values[skip] = 0.0
+                return values
 
-        monkeypatch.setattr(densemat, "_singular_values", zero_norms)
-        report = robustness.perturb_campaign(h, 60, radius, seed=7)
-        assert report.flips == flips - 2
-        kept = witness_bytes(witnesses[2:])
-        assert witness_bytes(report.flip_witnesses)[:len(kept)] == kept
-        assert not set(skip) & {i for i, _ in report.flip_witnesses}
+            monkeypatch.setattr(densemat, "_singular_values", zero_norms)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = robustness.perturb_campaign(h, samples, radius, seed)
+            assert (report.samples, report.flips) == (samples,
+                                                      flips - len(skip))
+            kept = witness_bytes(witnesses[2:])
+            assert witness_bytes(report.flip_witnesses)[:len(kept)] == kept
+            assert not set(skip) & {i for i, _ in report.flip_witnesses}
 
     def test_witnesses_are_standalone_arrays(self):
+        # a one-sample campaign (seed 1 flips its one sample) as well as a
+        # block: no witness may be a view of the campaign's own arrays
         h, radius = CAMPAIGN_BASES[1]
-        report = robustness.perturb_campaign(h, BLOCK, radius, seed=7)
-        assert report.flip_witnesses
-        for _, e in report.flip_witnesses:
-            assert e.base is None
-            assert e.shape == h.shape
+        for samples, seed in ((1, 1), (BLOCK, 7)):
+            report = robustness.perturb_campaign(h, samples, radius, seed)
+            assert report.flip_witnesses
+            for _, e in report.flip_witnesses:
+                assert e.base is None
+                assert e.shape == h.shape
+
+    @pytest.mark.parametrize("base", range(len(CAMPAIGN_BASES)))
+    def test_one_sample_matches_recount_and_its_block_sample(self, base):
+        # at four times the distance both outcomes occur. Each one-sample
+        # campaign seeded s = s0 ^ i, evaluated on its own matrix, must give
+        # the recount's report, and so sample i of the block seeded s0
+        h = CAMPAIGN_BASES[base][0]
+        radius = 4 * robustness.margin(h).upper
+        s0 = 0x5EED
+        block = robustness.perturb_campaign(h, BLOCK, radius, s0)
+        tau = block.base_inertia.tau
+        assert 0 < block.flips < BLOCK
+        alone = [robustness.perturb_campaign(h, 1, radius, s0 ^ i)
+                 for i in range(BLOCK)]
+        for i, report in enumerate(alone):
+            flips, witnesses = campaign_recount(h, 1, radius, s0 ^ i, tau)
+            assert (report.samples, report.flips) == (1, flips), i
+            assert (witness_bytes(report.flip_witnesses)
+                    == witness_bytes(witnesses)), i
+        assert sum(r.flips for r in alone) == block.flips
+        firsts = [(i, e) for i, r in enumerate(alone)
+                  for _, e in r.flip_witnesses]
+        assert (witness_bytes(block.flip_witnesses)
+                == witness_bytes(firsts[:10]))
 
     def test_overflowing_perturbation_answered(self):
         # A + E passes the float range; the campaign was refused
