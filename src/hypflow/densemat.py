@@ -22,12 +22,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import DimensionMismatch
 
 
-# The one loop the package runs of each gufunc it calls: float64 ("d") in,
-# but for the complex128 ("D") SVD of _singular_values.
-_LOOPS = {
-    "eigvals": "d->D", "svd": "D->d", "svd_f": "d->ddd", "qr_r_raw": "d->d",
-    "qr_reduced": "dd->d", "det": "d->d", "slogdet": "d->dd", "solve": "dd->d",
-}
 _QR_FAILED = "Incorrect argument found while performing QR factorization"
 # numpy.linalg's message for each gufunc that reports a LAPACK failure, by
 # a nan output and the invalid flag; det and slogdet report none
@@ -57,20 +51,20 @@ _GUARDS = {name: _guarded(message) for name, message in _FAILURES.items()}
 
 def _lapack(gufunc, *args):
     """``gufunc(*args)`` for a gufunc of ``numpy.linalg._umath_linalg``, as
-    the numpy.linalg routine that wraps it calls it: on its loop in
-    ``_LOOPS``, so every value keeps its bits, and under the same errstate,
-    which ignores over, divide and under and raises a LAPACK failure as
-    LinAlgError with numpy's message. The errstate's context (``_GUARDS``)
-    is copied for each call, so that any thread can run in it, at any
-    depth. det and slogdet run under the caller's errstate, as in
-    numpy.linalg. The caller validates the arrays, and a value past the
-    float range comes back as LAPACK computed it.
+    the numpy.linalg routine that wraps it calls it: on the double loop,
+    which the caller's float64 arrays (complex128 for the SVD) select, so
+    every value keeps its bits, and under the same errstate, which ignores
+    over, divide and under and raises a LAPACK failure as LinAlgError with
+    numpy's message. The errstate's context (``_GUARDS``) is copied for
+    each call, so that any thread can run in it, at any depth. det and
+    slogdet run under the caller's errstate, as in numpy.linalg. The caller
+    validates the arrays, and a value past the float range comes back as
+    LAPACK computed it.
     """
-    name = gufunc.__name__
-    guard = _GUARDS.get(name)
+    guard = _GUARDS.get(gufunc.__name__)
     if guard is None:
-        return gufunc(*args, signature=_LOOPS[name])
-    return guard.copy().run(gufunc, *args, signature=_LOOPS[name])
+        return gufunc(*args)
+    return guard.copy().run(gufunc, *args)
 
 
 def _entries(a, what: str, dtype=float) -> np.ndarray:

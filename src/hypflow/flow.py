@@ -287,10 +287,6 @@ def splitting(h, tau: float | None = None) -> SplittingBases:
     return _split(verdict)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".6g")
-
-
 def portrait(h, x0_set, t_range=(0.0, 3.0), steps: int = 200,
              tau: float | None = None) -> str:
     """Render 2-D flow trajectories (plus subspace lines when hyperbolic) as
@@ -349,12 +345,10 @@ def _portrait(h, x0_set, t_range, steps, tau) -> tuple[str, Verdict]:
             for v in basis.T:
                 a, b = to_svg(-3.0 * half * v), to_svg(3.0 * half * v)
                 lines.append(
-                    f'<line class="{css}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                    f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="{color}" '
-                    f'stroke-width="1.5"/>'
+                    '<line class="%s" x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" '
+                    'stroke="%s" stroke-width="1.5"/>' % (css, *a, *b, color)
                 )
-    # one %-format per polyline over its interleaved (x, y) row; "%.6g" % v
-    # is format(v, ".6g")
+    # one %-format per polyline over its interleaved (x, y) row
     coords = " ".join(["%.6g,%.6g"] * len(grid))
     xy = np.stack(to_svg(states.swapaxes(0, 1)), axis=-1)
     for row in xy.reshape(len(xs), 2 * len(grid)).tolist():

@@ -356,9 +356,10 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     Each sample i draws a Gaussian direction from its own stream,
     Generator(PCG64(seed XOR i)), so results do not depend on evaluation
     order, and rescales it to operator norm radius * fraction with the
-    fraction uniform in (0, 1]. Up to ten flipping perturbations are kept as
-    witnesses. Samples are evaluated in blocks of _CAMPAIGN_BLOCK: the seeds
-    of a block are hashed together into the PCG64 states numpy's
+    fraction uniform in (0, 1]; a direction of norm 0 rescales to the zero
+    perturbation, whose A + E is A. Up to ten flipping perturbations are
+    kept as witnesses. Samples are evaluated in blocks of _CAMPAIGN_BLOCK:
+    the seeds of a block are hashed together into the PCG64 states numpy's
     SeedSequence would give them (short blocks and seeds >= 2**64 use
     SeedSequence itself), one stacked SVD gives the directions' norms and
     one stacked eigenvalue call the perturbed spectra, with the same
@@ -366,9 +367,8 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
     passes the float range is counted on 2**-x A + 2**-x E against
     2**-x tau, with 2**-x taking A's entries and the radius below 1; its
     witness is scaled back. A one-sample campaign evaluates its one A + E
-    directly, and takes the block path only for a direction of norm 0 or
-    an A + E past the float range; its draws and its report are those of
-    the block path.
+    directly, and takes the block path only for an A + E past the float
+    range; its draws and its report are those of the block path.
     """
     return _campaign(classify(h, tau), samples, radius, seed)
 
@@ -378,10 +378,9 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
     """``perturb_campaign`` around the matrix that ``verdict`` classified.
 
     One sample is drawn as sample 0 of a block and counted on Python floats
-    from one eigenvalue call on its A + E, without the block arrays; a
-    direction of norm 0 or an A + E past the float range goes on to the
-    block path, which drops or scales it. Every other sample count runs
-    the block path.
+    from one eigenvalue call on its A + E, without the block arrays; an
+    A + E past the float range goes on to the block path, which scales it.
+    Every other sample count runs the block path.
     """
     samples = densemat._count(samples, "samples", 1)
     radius = densemat._real(radius, "radius")
@@ -401,18 +400,17 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         g = rng.standard_normal((1, d, d))
         frac = 1.0 - rng.random()
         norm = float(densemat._singular_values(g)[0, 0])
-        if norm:
-            with np.errstate(over="ignore"):
-                e = g[0] * (radius * frac / norm)
-                perturbed = m + e
-            if np.isfinite(perturbed).all():
-                re = spectral._eigenvalues_many(perturbed).real.tolist()
-                flipped = (sum(v < -tau for v in re) != base.s
-                           or sum(v > tau for v in re) != base.u)
-                witnesses = [(0, e)] if flipped else []
-                return CampaignReport(base_inertia=base, samples=1,
-                                      radius=radius, flips=len(witnesses),
-                                      seed=seed, flip_witnesses=witnesses)
+        with np.errstate(over="ignore"):
+            e = g[0] * (radius * frac / (norm or math.inf))
+            perturbed = m + e
+        if np.isfinite(perturbed).all():
+            re = spectral._eigenvalues_many(perturbed).real.tolist()
+            flipped = (sum(v < -tau for v in re) != base.s
+                       or sum(v > tau for v in re) != base.u)
+            witnesses = [(0, e)] if flipped else []
+            return CampaignReport(base_inertia=base, samples=1, radius=radius,
+                                  flips=len(witnesses), seed=seed,
+                                  flip_witnesses=witnesses)
     flips = 0
     witnesses = []
     for start in range(0, samples, _CAMPAIGN_BLOCK):
@@ -422,12 +420,9 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
         for j, rng in enumerate(_streams(seed, block)):
             rng.standard_normal(out=g[j])
             frac[j] = 1.0 - rng.random()
+        # a direction of norm 0 scales to the zero perturbation
         norm_g = densemat._singular_values(g)[:, 0]
-        if not norm_g.all():
-            # a direction of norm 0 has no scale to the radius: drop it
-            kept = np.flatnonzero(norm_g)
-            g, frac, norm_g = g[kept], frac[kept], norm_g[kept]
-            block = [block[j] for j in kept.tolist()]
+        norm_g = np.where(norm_g, norm_g, np.inf)
         with np.errstate(over="ignore"):
             e = g * (radius * frac / norm_g)[:, None, None]
             perturbed = m + e

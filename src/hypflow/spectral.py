@@ -159,9 +159,16 @@ def poly_roots(p) -> Spectrum:
     coefficient to the leading one passes the float range, the iteration
     runs on the roots scaled by a power of two to modulus at most 2. The
     coefficients, in ascending order, must be finite real or complex
-    numbers; a root or its error bound past the float range raises
+    numbers; a root or its error estimate past the float range raises
     ValueError, and so does a degree past about 1000 whose roots, so
     scaled, still take 2 rho**d past it.
+
+    ``residual_bound`` is an estimate of the roots' error, not a bound: it
+    fails where one coefficient dominates. Each root's estimate is capped
+    at 1.0 in absolute terms, so ``[1] + [0]*7 + [-1.3e34, 1]`` reports 1.0
+    with its largest root 1.7e8 off the real axis; and the stopping rule
+    is absolute below modulus 1, so on the scaled path a cluster of small
+    roots stops about 1e-12 * 2**k from where it belongs.
     """
     coeffs = np.atleast_1d(_entries(
         p.coeffs if isinstance(p, CharPoly) else p, "coefficient", complex))

@@ -327,11 +327,10 @@ def test_scalars_kept_as_validated_floats(value):
 
 # Calls that validate their matrix once, and the eigensolves each makes:
 # classify's, then margin's one Hamiltonian level and the one-sample
-# campaign's one solve of its A + E, which it evaluates directly (a
-# direction of norm 0 or an A + E past the float range would take the block
-# path, with the same draws and report). The first three, given tau, make
-# an openness trial. The flows validate their start point and time grid
-# besides.
+# campaign's one solve of its A + E, which it evaluates directly (an A + E
+# past the float range would take the block path, with the same draws and
+# report). The first three, given tau, make an openness trial. The flows
+# validate their start point and time grid besides.
 ONE_VALIDATION_CALLS = {
     "classify": (lambda: hypflow.classify(_DIAG, 1e-9), 1, 1),
     "margin": (lambda: hypflow.margin(_DIAG, 1e-9), 1, 2),
@@ -412,6 +411,14 @@ GUFUNC_SIGNATURES = {
     "slogdet": "(m,m)->(),()",
     "qr_r_raw": "(m,n)->(p)",
     "qr_reduced": "(m,n),(k)->(m,k)",
+}
+# The double loop of each gufunc, which numpy.linalg pins and which the
+# package's float64 arrays (complex128 for the SVD of
+# densemat._singular_values) select
+DOUBLE_LOOPS = {
+    "eigvals": "d->D", "svd": "D->d", "svd_f": "d->ddd", "det": "d->d",
+    "solve": "dd->d", "slogdet": "d->dd", "qr_r_raw": "d->d",
+    "qr_reduced": "dd->d",
 }
 # numpy.linalg and its module of LAPACK gufuncs
 _LINALG_MODULES = ("linalg", "_umath_linalg")
@@ -548,17 +555,19 @@ def test_one_site_per_linalg_routine(routine):
 
 
 def test_gufuncs_have_the_signatures_relied_on():
-    # a numpy that renames a gufunc, changes its core signature or drops a
-    # loop the package runs fails here, not deep in a request
+    # a numpy that renames a gufunc, changes its core signature or no
+    # longer resolves the package's arrays to the double loop fails here,
+    # not deep in a request
     sites = {name.split(".")[1] for routine in LINALG_SITES.values()
              for name, _, _ in routine}
-    assert sorted(sites) == sorted(GUFUNC_SIGNATURES)
-    assert sorted(densemat._LOOPS) == sorted(sites)
+    assert sorted(sites) == sorted(GUFUNC_SIGNATURES) == sorted(DOUBLE_LOOPS)
     for name, signature in GUFUNC_SIGNATURES.items():
         gufunc = getattr(densemat._umath_linalg, name)
         assert gufunc.signature.replace(" ", "") == signature, name
-    for name, loop in densemat._LOOPS.items():
-        assert loop in getattr(densemat._umath_linalg, name).types, name
+        ins, outs = DOUBLE_LOOPS[name].split("->")
+        dtypes = gufunc.resolve_dtypes(
+            tuple(np.dtype(c) for c in ins) + (None,) * len(outs))
+        assert "".join(t.char for t in dtypes) == ins + outs, name
 
 
 # One site that writes files: each call in the package that opens a file,

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -490,6 +491,19 @@ class TestSplitting:
         fail_like_lapack(monkeypatch, "solve")
         with pytest.raises(NonConvergence,
                            match="singular sign step: Singular matrix"):
+            flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
+
+    def test_non_finite_step_is_nonconvergence(self, monkeypatch):
+        # a sign step whose inverse is inf has no finite norm to compare
+        solve = densemat._umath_linalg.solve
+
+        @functools.wraps(solve)
+        def infinite(a, b):
+            return np.full_like(solve(a, b), np.inf)
+
+        monkeypatch.setattr(densemat._umath_linalg, "solve", infinite)
+        with pytest.raises(NonConvergence, match="^sign iteration left the "
+                                                 "finite range$"):
             flow.splitting(np.array([[-1.0, 3.0], [0.0, 2.0]]))
 
     def test_wrong_split_refused(self):

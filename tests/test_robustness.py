@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -13,7 +14,8 @@ from hypflow.errors import (DimensionMismatch, InvalidClass, NonConvergence,
                             NotHyperbolic, ShiftTooSmall)
 from hypflow.inertia import ConjugacyClass
 
-from conftest import child_env, fail_like_lapack, write_matrix
+from conftest import (FLOAT_RANGE_EDGES, child_env, fail_like_lapack,
+                      write_matrix)
 from oracles import (bottleneck_pairings, byers_distance, campaign_recount,
                      grid_distance_oracle, gram_schmidt_orthogonal,
                      refined_grid_distance, svd_sigma_min)
@@ -543,8 +545,9 @@ class TestStackedCampaign:
         assert len(report.flip_witnesses) == 10
 
     def test_zero_norm_direction_skipped(self, monkeypatch):
-        # a one-sample campaign leaves a direction of norm 0 to the block
-        # path, which drops it; seed 1's one sample flips with its norm
+        # a direction of norm 0, in a one-sample campaign or a block, is the
+        # zero perturbation, which does not flip; seed 1's one sample flips
+        # with its norm
         h, radius = CAMPAIGN_BASES[1]
         tau = inertia.default_tolerance(h)
         singular_values = densemat._singular_values
@@ -568,6 +571,41 @@ class TestStackedCampaign:
             kept = witness_bytes(witnesses[2:])
             assert witness_bytes(report.flip_witnesses)[:len(kept)] == kept
             assert not set(skip) & {i for i, _ in report.flip_witnesses}
+
+    def test_zero_norm_and_float_range_in_one_block(self, monkeypatch):
+        # at radius 1e308 the A + E of sample 0 passes the float range and
+        # flips, and sample 13 flips as well; its direction given norm 0,
+        # in the campaign and in the recount alike, it is the zero
+        # perturbation, and the recount's own rule skips it
+        h, radius, seed = np.array(FLOAT_RANGE_EDGES["near_max"]), 1e308, 76
+        tau = inertia.default_tolerance(h)
+        flips, witnesses = campaign_recount(h, 20, radius, seed, tau)
+        assert (flips, [i for i, _ in witnesses]) == (2, [0, 13])
+        zero = np.random.Generator(np.random.PCG64(seed ^ 13)).standard_normal(
+            h.shape).tobytes()
+        singular_values, svd = densemat._singular_values, np.linalg.svd
+
+        def zero_norms(ms):
+            values = singular_values(ms)
+            if np.ndim(ms) == 3:
+                for j, g in enumerate(ms):
+                    if g.tobytes() == zero:
+                        values[j] = 0.0
+            return values
+
+        def recount_svd(a, **kwargs):
+            values = svd(a, **kwargs)
+            return 0.0 * values if a.real.tobytes() == zero else values
+
+        monkeypatch.setattr(densemat, "_singular_values", zero_norms)
+        monkeypatch.setattr(np.linalg, "svd", recount_svd)
+        flips, witnesses = campaign_recount(h, 20, radius, seed, tau)
+        assert (flips, [i for i, _ in witnesses]) == (1, [0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness.perturb_campaign(h, 20, radius, seed)
+        assert (report.samples, report.flips) == (20, flips)
+        assert witness_bytes(report.flip_witnesses) == witness_bytes(witnesses)
 
     def test_witnesses_are_standalone_arrays(self):
         # a one-sample campaign (seed 1 flips its one sample) as well as a
@@ -1018,3 +1056,33 @@ class TestRunSuite:
             robustness.run_suite("bogus")
         assert str(exc.value) == ("unknown suite 'bogus' "
                                   "(known: density, openness, oracle, vieta)")
+
+    def test_openness_trial_without_lower_fails(self, monkeypatch):
+        # a margin without a positive lower bound gives no radius to
+        # perturb at: the trial fails with no value, and worst stays 0.0
+        margin = robustness._margin
+
+        def no_lower(verdict, tol):
+            return dataclasses.replace(margin(verdict, tol), lower=0.0)
+
+        def campaign(*args, **kwargs):
+            raise AssertionError("campaign run without a positive lower")
+
+        monkeypatch.setattr(robustness, "_margin", no_lower)
+        monkeypatch.setattr(robustness, "_campaign", campaign)
+        rng = np.random.Generator(np.random.PCG64(2))
+        assert robustness._openness_trial(rng, 0) == (False, None)
+        result = robustness.run_suite("openness", seed=2, trials=5)
+        assert (result.passed, result.failed, result.worst) == (0, 5, 0.0)
+
+    def test_density_trial_shift_too_small_fails(self, monkeypatch):
+        # a shift below the representable step: the trial fails with no
+        # value, and worst stays 0.0
+        def too_small(*args, **kwargs):
+            raise ShiftTooSmall("shift too small")
+
+        monkeypatch.setattr(robustness, "hyperbolize", too_small)
+        rng = np.random.Generator(np.random.PCG64(7))
+        assert robustness._density_trial(rng, 3) == (False, None)
+        result = robustness.run_suite("density", seed=7, trials=8)
+        assert (result.passed, result.failed, result.worst) == (0, 8, 0.0)

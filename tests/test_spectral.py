@@ -149,6 +149,11 @@ class TestPolyRoots:
         roots = spectral.poly_roots(np.array([2.0, -1.0])).values
         assert roots[0] == pytest.approx(2.0)
 
+    def test_degree_zero_has_no_roots(self):
+        roots = spectral.poly_roots([5.0])
+        assert roots.values.shape == (0,) and roots.values.dtype == complex
+        assert roots.residual_bound == 0.0
+
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(ValueError):
             spectral.poly_roots(np.array([1.0, 1.0, 0.0]))
