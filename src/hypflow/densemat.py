@@ -129,7 +129,9 @@ def as_matrix(a, dtype=float) -> np.ndarray:
 
 def _scale_exponent(m) -> int:
     """The e for which 2**-e takes every real and imaginary part of the
-    finite, nonzero array ``m`` below 1."""
+    finite, nonzero array ``m`` below 1. For a real matrix it is the
+    exponent of frexp(max|m_ij|), the float-range scaling of ``margin``,
+    ``perturb_campaign`` and ``splitting``."""
     m = np.asarray(m)
     return math.frexp(float(max(np.abs(m.real).max(), np.abs(m.imag).max())))[1]
 

@@ -201,8 +201,7 @@ def flow_map(h, t: float, x0) -> np.ndarray:
     """Evaluate e^{tH} x0 at the single time ``t``."""
     if np.size(t) != 1:
         raise ValueError("t must be a single time")
-    m = densemat.as_matrix(h)
-    return _advance(m, _state(x0, m.shape[0]), _grid(t))[0]
+    return trajectory(h, x0, t).states[0]
 
 
 def trajectory(h, x0, t_grid) -> Trajectory:
@@ -226,7 +225,7 @@ def _split(verdict: Verdict) -> SplittingBases:
     """Bases of a matrix that ``verdict`` found hyperbolic."""
     m, inr = verdict.matrix, verdict.inertia
     d, s = m.shape[0], inr.s
-    e = math.frexp(float(np.max(np.abs(m))))[1]
+    e = densemat._scale_exponent(m)
     x = a = np.ldexp(m, -e)
     eye = np.eye(d)
     last = math.inf

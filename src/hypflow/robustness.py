@@ -28,7 +28,7 @@ command-line ``verify`` entry point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import densemat, matching, spectral
 from .densemat import _lapack, _umath_linalg
 from .errors import (DimensionMismatch, InvalidClass, NonConvergence,
                      NotHyperbolic, ShiftTooSmall)
-from .inertia import (ConjugacyClass, Inertia, Verdict, classify,
+from .inertia import (ConjugacyClass, Inertia, Verdict, _inertia, classify,
                       default_tolerance)
 
 _EPS = float(np.finfo(float).eps)
@@ -208,26 +208,23 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
     if not verdict.is_hyperbolic:
         return MarginResult(lower=0.0, upper=0.0, omega_star=0.0, iterations=0,
                             solves=0)
-    m = verdict.matrix
-    omegas = sorted({0.0} | {abs(v.imag) for v in verdict.spectrum.values.tolist()})
-    evals = len(omegas)
-    # omegas[0] is 0, so the stack's first matrix is A itself, and its
-    # largest singular value is op_norm2(A) bit for bit
-    sv = densemat._singular_values(_shifted(m, omegas))
-    norm = float(sv[0, 0])
+    m, values = verdict.matrix, verdict.spectrum.values
+    evals = e = 0
+    # where ||A||_2 passes the float range, the rounding floor would be inf
+    # too. The distance scales with A, so a second pass brackets 2**-e A,
+    # whose entries are below 1, and the bracket scales back by 2**e.
+    for _ in range(2):
+        omegas = sorted({0.0} | {abs(v.imag) for v in values.tolist()})
+        evals += len(omegas)
+        # omegas[0] is 0, so the stack's first matrix is A itself, and its
+        # largest singular value is op_norm2(A) bit for bit
+        sv = densemat._singular_values(_shifted(m, omegas))
+        norm = float(sv[0, 0])
+        if norm < math.inf:
+            break
+        e = densemat._scale_exponent(m)
+        m, values = np.ldexp(m, -e), values * math.ldexp(1.0, -e)
     gamma, omega_star = min(zip(sv[:, -1].tolist(), omegas))
-    if norm == math.inf:
-        # the rounding floor would be inf too. The distance scales with A,
-        # so bracket 2**-e A, whose entries are below 1, and scale back.
-        e = math.frexp(float(np.abs(m).max()))[1]
-        spectrum = replace(verdict.spectrum,
-                           values=verdict.spectrum.values * math.ldexp(1.0, -e))
-        r = _margin(replace(verdict, matrix=np.ldexp(m, -e), spectrum=spectrum),
-                    tol)
-        return MarginResult(lower=math.ldexp(r.lower, e),
-                            upper=math.ldexp(r.upper, e),
-                            omega_star=math.ldexp(r.omega_star, e),
-                            iterations=evals + r.iterations, solves=r.solves)
     floor = 4 * m.shape[0] * _EPS * norm
     for solves in range(1, _MAX_SOLVES + 1):
         slack = min(gamma / 4, max(tol * gamma, _SLACK * gamma, floor))
@@ -235,7 +232,9 @@ def _margin(verdict: Verdict, tol: float) -> MarginResult:
         cross, near = _crossings(m, level, norm, level + slack / 2)
         evals += near
         if not cross:
-            return MarginResult(lower=level, upper=gamma, omega_star=omega_star,
+            return MarginResult(lower=math.ldexp(level, e),
+                                upper=math.ldexp(gamma, e),
+                                omega_star=math.ldexp(omega_star, e),
                                 iterations=evals, solves=solves)
         # halved first: lo + hi of two crossings near the float maximum is inf
         mids = [lo / 2 + hi / 2 for (lo, _), (hi, _) in zip(cross, cross[1:])]
@@ -375,13 +374,8 @@ def perturb_campaign(h, samples: int, radius: float, seed: int,
 
 def _campaign(verdict: Verdict, samples: int, radius: float,
               seed: int) -> CampaignReport:
-    """``perturb_campaign`` around the matrix that ``verdict`` classified.
-
-    One sample is drawn as sample 0 of a block and counted on Python floats
-    from one eigenvalue call on its A + E, without the block arrays; an
-    A + E past the float range goes on to the block path, which scales it.
-    Every other sample count runs the block path.
-    """
+    """``perturb_campaign`` around the matrix that ``verdict`` classified;
+    one sample is counted on Python floats, without the block arrays."""
     samples = densemat._count(samples, "samples", 1)
     radius = densemat._real(radius, "radius")
     if not 0 < radius < math.inf:
@@ -405,9 +399,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             perturbed = m + e
         if np.isfinite(perturbed).all():
             re = spectral._eigenvalues_many(perturbed).real.tolist()
-            flipped = (sum(v < -tau for v in re) != base.s
-                       or sum(v > tau for v in re) != base.u)
-            witnesses = [(0, e)] if flipped else []
+            witnesses = [(0, e)] if _inertia(re, tau) != base else []
             return CampaignReport(base_inertia=base, samples=1, radius=radius,
                                   flips=len(witnesses), seed=seed,
                                   flip_witnesses=witnesses)
@@ -432,7 +424,7 @@ def _campaign(verdict: Verdict, samples: int, radius: float,
             # 2**-x A + 2**-x E against 2**-x tau, which has the same
             # inertias, with 2**-x taking A and the radius below 1
             over = np.flatnonzero(~np.isfinite(perturbed).all(axis=(1, 2)))
-            x = math.frexp(max(float(np.abs(m).max()), radius))[1]
+            x = max(densemat._scale_exponent(m), math.frexp(radius)[1])
             scaled = g[over] * (math.ldexp(radius, -x) * frac[over]
                                 / norm_g[over])[:, None, None]
             perturbed[over] = np.ldexp(m, -x) + scaled
@@ -519,9 +511,8 @@ def vieta_check(a) -> float:
     Raises ValueError where the product or the determinant passes the
     float range."""
     m = densemat.as_matrix(a)
-    spec = spectral._spectrum(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = complex(np.prod(spec.values))
+        prod = complex(np.prod(spectral._eigenvalues_many(m)))
     if not np.isfinite(prod):
         raise ValueError("eigenvalue product passes the float range")
     d = densemat._det(m)

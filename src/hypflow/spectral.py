@@ -163,12 +163,10 @@ def poly_roots(p) -> Spectrum:
     ValueError, and so does a degree past about 1000 whose roots, so
     scaled, still take 2 rho**d past it.
 
-    ``residual_bound`` is an estimate of the roots' error, not a bound: it
-    fails where one coefficient dominates. Each root's estimate is capped
-    at 1.0 in absolute terms, so ``[1] + [0]*7 + [-1.3e34, 1]`` reports 1.0
-    with its largest root 1.7e8 off the real axis; and the stopping rule
-    is absolute below modulus 1, so on the scaled path a cluster of small
-    roots stops about 1e-12 * 2**k from where it belongs.
+    ``residual_bound`` is an estimate of the roots' error, each root's
+    capped at 1 + |root|, not a bound: the stopping rule is absolute below
+    modulus 1, so on the scaled path a cluster of small roots stops about
+    1e-12 * 2**k from where it belongs.
     """
     coeffs = np.atleast_1d(_entries(
         p.coeffs if isinstance(p, CharPoly) else p, "coefficient", complex))
@@ -248,7 +246,7 @@ def poly_roots(p) -> Spectrum:
         pv, bound = _horner_with_bound(a, z[j])
         dv = _horner(deriv, z[j])
         est = (abs(pv) + bound) / max(abs(dv), 1e-300)
-        residual = max(residual, min(est, 1.0))
+        residual = max(residual, min(est, 1.0 + abs(z[j])))
     return Spectrum(values=z, residual_bound=residual)
 
 

@@ -360,6 +360,9 @@ class TestMargin:
         assert ((m.lower, m.upper, m.omega_star)
                 == tuple(math.ldexp(v, 1024)
                          for v in (ref.lower, ref.upper, ref.omega_star)))
+        # the overflowing first SVD counts as an evaluation, then the scaled
+        # bracket's one evaluation and one solve
+        assert (m.iterations, m.solves) == (2, 1)
         distance = math.ldexp(refined_grid_distance(np.ldexp(a, -1024)), 1024)
         assert 0 < m.lower <= distance <= m.upper * (1 + 1e-8)
         assert m.upper - m.lower <= 1e-5 * m.upper

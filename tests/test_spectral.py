@@ -191,6 +191,14 @@ class TestPolyRoots:
         # to its absolute accuracy only
         assert np.abs(np.delete(got, big)).max() <= 1e-10 * c
 
+    def test_residual_bound_covers_a_dominant_root(self):
+        # z^9 - 1.3e34 z^8 + 1 has one real root near 1.3e34, which came
+        # back as 1.3e34 - 1.7e8i with residual_bound 1.0: each root's
+        # estimate was capped at 1.0 in absolute terms
+        got = spectral.poly_roots([1.0] + [0.0] * 7 + [-1.3e34, 1.0])
+        big = got.values[np.argmax(np.abs(got.values))]
+        assert got.residual_bound >= max(abs(big.imag), 1.7e8)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs, roots, modulus", [
         ([1e300, 0.0, 1e-10], [1j, -1j], math.sqrt(1e300) / math.sqrt(1e-10)),
